@@ -1,0 +1,12 @@
+//! Records the compiler version for the machine fingerprint.
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = std::process::Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .unwrap_or_default();
+    println!("cargo:rustc-env=STACK_BENCH_RUSTC={}", version.trim());
+    println!("cargo:rerun-if-changed=build.rs");
+}
