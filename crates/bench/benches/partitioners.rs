@@ -1,9 +1,10 @@
 //! Criterion bench backing Figures 5, 16 and 17: compression cost of the
 //! different partitioning strategies, plus an ablation of the ℓ∞ (minimax)
-//! versus ℓ2 (least-squares) linear fit called out in DESIGN.md.
+//! versus ℓ2 (least-squares) linear fit called out in DESIGN.md, and the
+//! cut-pricing kernel of the split–merge search in isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use leco_core::regressor::linear;
+use leco_core::regressor::{linear, CostModel};
 use leco_core::{LecoCompressor, LecoConfig, PartitionerKind, RegressorKind};
 use leco_datasets::{generate, IntDataset};
 
@@ -70,10 +71,44 @@ fn bench_fit_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The cut-pricing kernel of the bisect and refine phases in isolation: one
+/// `CostModel::price_cuts` batch (two shared hull sweeps) against the same
+/// 16 cuts priced as 32 independent `exact_bits` fits.  Every iteration
+/// builds its own oracle, so the memo answers nothing.
+fn bench_price_cuts(c: &mut Criterion) {
+    const CUTS: usize = 16;
+    let mut group = c.benchmark_group("price_cuts");
+    let column = generate(IntDataset::Booksale, 8_192, 42);
+    for span in [64usize, 512, 8_192] {
+        let values = &column[..span];
+        let cuts: Vec<usize> = (1..=CUTS).map(|k| span * k / (CUTS + 1)).collect();
+        group.throughput(criterion::Throughput::Elements(span as u64));
+        group.bench_function(BenchmarkId::new("shared_sweeps", span), |b| {
+            b.iter(|| {
+                let mut oracle = CostModel::new(values, RegressorKind::Linear);
+                let priced = oracle.price_cuts(0, span, &cuts);
+                std::hint::black_box(priced.iter().map(|c| c.total()).sum::<usize>())
+            })
+        });
+        group.bench_function(BenchmarkId::new("2k_exact_bits", span), |b| {
+            b.iter(|| {
+                let mut oracle = CostModel::new(values, RegressorKind::Linear);
+                let total: usize = cuts
+                    .iter()
+                    .map(|&cut| oracle.exact_bits(0, cut) + oracle.exact_bits(cut, span))
+                    .sum();
+                std::hint::black_box(total)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_partitioners,
     bench_split_merge_timestamps,
-    bench_fit_ablation
+    bench_fit_ablation,
+    bench_price_cuts
 );
 criterion_main!(benches);

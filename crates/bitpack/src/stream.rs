@@ -74,6 +74,48 @@ impl BitWriter {
         }
     }
 
+    /// Append every value of `values` at `width` bits each — the same bits
+    /// as calling [`Self::write`] once per value, built a word at a time.
+    ///
+    /// # Panics
+    /// Panics if `width > 64`; a value with bits set above `width` is a
+    /// caller bug (checked in debug builds).
+    pub fn write_slice(&mut self, values: &[u64], width: u8) {
+        assert!(width <= 64, "width must be <= 64, got {width}");
+        if width == 0 || values.is_empty() {
+            return;
+        }
+        let width = width as usize;
+        let total = self.len_bits + values.len() * width;
+        self.words
+            .reserve(crate::div_ceil(total, 64) - self.words.len());
+        // `acc` holds the `fill` low bits of the word being built.
+        let mut fill = self.len_bits % 64;
+        let mut acc = if fill == 0 {
+            0
+        } else {
+            self.words.pop().expect("a partial word exists")
+        };
+        for &v in values {
+            debug_assert!(
+                width == 64 || v < (1u64 << width),
+                "value {v} does not fit in {width} bits"
+            );
+            acc |= v << fill;
+            fill += width;
+            if fill >= 64 {
+                self.words.push(acc);
+                fill -= 64;
+                // The bits of `v` that did not fit; none when it ended the word.
+                acc = if fill == 0 { 0 } else { v >> (width - fill) };
+            }
+        }
+        if fill > 0 {
+            self.words.push(acc);
+        }
+        self.len_bits = total;
+    }
+
     /// Write a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
@@ -219,6 +261,36 @@ mod tests {
             assert_eq!(r.read(width), v, "width {width}");
         }
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn write_slice_matches_per_value_writes() {
+        for width in 0..=64u8 {
+            let mask = if width == 64 {
+                u64::MAX
+            } else {
+                (1u64 << width) - 1
+            };
+            let values: Vec<u64> = (0..131u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
+                .collect();
+            // Start at several bit offsets, including word-aligned ones.
+            for lead in [0u8, 1, 17, 63, 64] {
+                let mut bulk = BitWriter::new();
+                let mut single = BitWriter::new();
+                for w in [&mut bulk, &mut single] {
+                    w.write(1, lead.min(1));
+                    w.write(0, lead.saturating_sub(1));
+                }
+                bulk.write_slice(&values[..70], width);
+                bulk.write_slice(&[], width);
+                bulk.write_slice(&values[70..], width);
+                for &v in &values {
+                    single.write(v, width);
+                }
+                assert_eq!(bulk.finish(), single.finish(), "width {width} lead {lead}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::advisor::RegressorSelector;
 use crate::model::{Model, RegressorKind, SlackBands};
 use crate::partition::{self, PartitionerKind};
-use crate::regressor::{self, FitContext};
+use crate::regressor::{self, DeltaStats, FitContext};
 use crate::value::LecoInt;
 use crate::LecoConfig;
 use leco_bitpack::{stream::read_bits, BitWriter};
@@ -145,6 +145,64 @@ impl LecoCompressor {
 
     fn compress_with_width(&self, values: &[u64], value_width: usize) -> CompressedColumn {
         let parts = partition::partition(&self.config.partitioner, self.config.regressor, values);
+        let mut packed: Vec<u64> = Vec::new();
+        self.assemble(values, value_width, &parts, |kind, slice, writer| {
+            // One residual pass per partition: the fit's own statistics pass
+            // leaves the deltas in `packed`, which are then rebased on the
+            // bias and packed in bulk.
+            packed.clear();
+            packed.resize(slice.len(), 0);
+            let (model, stats) =
+                regressor::fit_checked_with(kind, slice, &self.fit_ctx, |i, r| packed[i] = r);
+            let bias = stats.bias as u64;
+            for r in &mut packed {
+                *r = r.wrapping_sub(bias);
+            }
+            writer.write_slice(&packed, stats.width);
+            (model, stats)
+        })
+    }
+
+    /// Test support: the encoder as it was before `CostModel::price_cuts` —
+    /// split–merge cuts priced one span at a time, delta statistics in
+    /// `i128`, one `predict_floor` and one `BitWriter::write` per value.
+    /// `tests/encode_differential.rs` holds [`Self::compress`] to its bytes.
+    #[doc(hidden)]
+    pub fn compress_reference(&self, values: &[u64]) -> CompressedColumn {
+        let regressor = self.config.regressor;
+        let parts = match self.config.partitioner {
+            PartitionerKind::SplitMerge { tau } if !values.is_empty() => {
+                let oracle = regressor::CostModel::per_span(values, regressor);
+                partition::split_merge::split_merge_with(oracle, regressor, tau)
+            }
+            ref other => partition::partition(other, regressor, values),
+        };
+        self.assemble(values, 8, &parts, |kind, slice, writer| {
+            let fit = |kind| {
+                let model = regressor::fit_with_context(kind, slice, &self.fit_ctx);
+                regressor::delta_stats_reference(&model, slice).map(|stats| (model, stats))
+            };
+            let (model, stats) = fit(kind)
+                .or_else(|| fit(RegressorKind::Constant))
+                .expect("constant model always yields a representable delta range");
+            for (local, &v) in slice.iter().enumerate() {
+                let delta = v as i128 - model.predict_floor(local);
+                writer.write((delta - stats.bias) as u128 as u64, stats.width);
+            }
+            (model, stats)
+        })
+    }
+
+    /// Build the column over `parts`: `encode_partition` fits one partition
+    /// (under the regressor kind chosen for it) and appends its packed
+    /// deltas to the shared payload.
+    fn assemble(
+        &self,
+        values: &[u64],
+        value_width: usize,
+        parts: &[partition::Partition],
+        mut encode_partition: impl FnMut(RegressorKind, &[u64], &mut BitWriter) -> (Model, DeltaStats),
+    ) -> CompressedColumn {
         let fixed_len = match &self.config.partitioner {
             PartitionerKind::Fixed { len } => Some(*len),
             PartitionerKind::FixedAuto => parts.first().map(|p| p.len),
@@ -152,19 +210,14 @@ impl LecoCompressor {
         };
         let mut metas: Vec<PartitionMeta> = Vec::with_capacity(parts.len());
         let mut writer = BitWriter::with_capacity(values.len() * 8);
-        for p in &parts {
+        for p in parts {
             let slice = &values[p.start..p.end()];
             let kind = match (&self.config.regressor, &self.selector) {
                 (RegressorKind::Auto, Some(sel)) => sel.recommend(slice),
                 (kind, _) => *kind,
             };
-            let (model, stats) = regressor::fit_checked(kind, slice, &self.fit_ctx);
             let bit_offset = writer.len_bits() as u64;
-            for (local, &v) in slice.iter().enumerate() {
-                let delta = v as i128 - model.predict_floor(local);
-                let packed = (delta - stats.bias) as u128 as u64;
-                writer.write(packed, stats.width);
-            }
+            let (model, stats) = encode_partition(kind, slice, &mut writer);
             // Only the θ₁-accumulation fallback decoder ever consults the
             // correction list (`Model::needs_corrections`); partitions on
             // the direct-evaluation fast path store none — format v2.

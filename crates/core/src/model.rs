@@ -141,7 +141,7 @@ pub enum Model {
 /// endpoints suffices; the limit leaves well over 2^62 of slack for the
 /// ulp-level drift the correction list tracks.
 #[inline]
-fn linear_fits_i64(t0: f64, t1: f64, len: usize) -> bool {
+pub(crate) fn linear_fits_i64(t0: f64, t1: f64, len: usize) -> bool {
     const LIMIT: f64 = 4.0e18; // < 2^62
     let last = t0 + t1 * len.saturating_sub(1) as f64;
     t0.is_finite() && last.is_finite() && t0.abs() < LIMIT && last.abs() < LIMIT
@@ -152,7 +152,7 @@ fn linear_fits_i64(t0: f64, t1: f64, len: usize) -> bool {
 /// zero with the hardware cast, then subtract 1 when truncation rounded up
 /// (negative non-integers).  Bit-identical to `floor` in the guarded range.
 #[inline(always)]
-fn floor_to_i64(x: f64) -> i64 {
+pub(crate) fn floor_to_i64(x: f64) -> i64 {
     let t = x as i64;
     t - ((t as f64 > x) as i64)
 }

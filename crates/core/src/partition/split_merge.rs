@@ -20,10 +20,12 @@
 //! All exact evaluations go through one shared [`CostModel`] oracle: the
 //! cost of a span is the *serialized* record size (correction list
 //! included), fits are the O(n) hull minimax fit rather than the old
-//! ~130-pass ternary search, repeat spans are served from a memo, and the
+//! ~130-pass ternary search, repeat spans are served from a memo, the
 //! oracle's O(1) prefix-sum estimates pre-rank candidate cut points so the
-//! bisect phase can scan a 3× finer grid for the same exact-fit budget
-//! (see `docs/PARTITIONING.md`).
+//! bisect phase can scan a 3× finer grid for the same exact-fit budget, and
+//! bisect and refine hand each batch of candidate cuts of one span to
+//! [`CostModel::best_cut`], which prices them all from two shared hull
+//! sweeps (see `docs/PARTITIONING.md`).
 
 use super::Partition;
 use crate::model::RegressorKind;
@@ -64,136 +66,168 @@ fn nominal_model_bits(kind: RegressorKind) -> f64 {
     (bytes * 8) as f64
 }
 
+/// The integer type the split phase takes differences in: `i64` when the
+/// column's values leave room for every difference order, `i128` otherwise.
+trait DiffInt: Copy + Ord + std::ops::Sub<Output = Self> {
+    const MIN: Self;
+    const MAX: Self;
+    fn from_u64(v: u64) -> Self;
+    /// Bits needed for `|self|`, saturating at 64.
+    fn magnitude_bits(self) -> u8;
+    /// Bits needed for the spread `max − min` (`min <= max`), saturating at 64.
+    fn spread_bits(min: Self, max: Self) -> u8;
+}
+
+/// Values below this keep every difference up to [`MAX_DIFF_ORDER`] inside
+/// `i64`: an order-k difference is at most 2^k times the largest value.
+const I64_DIFF_LIMIT: u64 = 1 << 58;
+
+impl DiffInt for i64 {
+    const MIN: Self = i64::MIN;
+    const MAX: Self = i64::MAX;
+    fn from_u64(v: u64) -> Self {
+        debug_assert!(v < I64_DIFF_LIMIT);
+        v as i64
+    }
+    fn magnitude_bits(self) -> u8 {
+        leco_bitpack::bits_for(self.unsigned_abs())
+    }
+    fn spread_bits(min: Self, max: Self) -> u8 {
+        leco_bitpack::bits_for((max - min) as u64)
+    }
+}
+
+impl DiffInt for i128 {
+    const MIN: Self = i128::MIN;
+    const MAX: Self = i128::MAX;
+    fn from_u64(v: u64) -> Self {
+        v as i128
+    }
+    fn magnitude_bits(self) -> u8 {
+        u64::try_from(self.unsigned_abs()).map_or(64, leco_bitpack::bits_for)
+    }
+    fn spread_bits(min: Self, max: Self) -> u8 {
+        u64::try_from(max - min).map_or(64, leco_bitpack::bits_for)
+    }
+}
+
+/// Highest difference order the split phase takes: the start scores of a
+/// degree-3 proxy.
+const MAX_DIFF_ORDER: usize = 4;
+
+/// The `order`-th differences of a pushed sequence, one value at a time:
+/// `last[k]` holds the most recent k-th order difference, so a push costs
+/// `order` subtractions and moves nothing.
+#[derive(Debug, Clone)]
+struct DiffChain<T> {
+    order: usize,
+    last: [T; MAX_DIFF_ORDER],
+    count: usize,
+}
+
+impl<T: DiffInt> DiffChain<T> {
+    fn new(order: usize) -> Self {
+        assert!(order <= MAX_DIFF_ORDER);
+        Self {
+            order,
+            last: [T::from_u64(0); MAX_DIFF_ORDER],
+            count: 0,
+        }
+    }
+
+    /// The `order`-th difference ending at `v`, once `order` values precede it.
+    fn peek(&self, v: T) -> Option<T> {
+        (self.count >= self.order).then(|| self.last[..self.order].iter().fold(v, |d, &l| d - l))
+    }
+
+    /// Take `v` into the sequence; returns what [`Self::peek`] would have.
+    fn push(&mut self, v: T) -> Option<T> {
+        let mut d = v;
+        for k in 0..self.order.min(self.count + 1) {
+            let held = std::mem::replace(&mut self.last[k], d);
+            // `last[k]` only holds a difference once k + 1 values were pushed.
+            if k < self.count {
+                d = d - held;
+            }
+        }
+        let complete = self.count >= self.order;
+        self.count += 1;
+        complete.then_some(d)
+    }
+}
+
 /// Incrementally tracks the spread (max − min) of the `degree`-th order
 /// differences of the values pushed so far, yielding the Δ width proxy.
 #[derive(Debug, Clone)]
-struct DiffTracker {
-    degree: usize,
-    /// Last `degree` raw values (enough to form the next difference).
-    tail: Vec<i128>,
-    count: usize,
-    min_d: i128,
-    max_d: i128,
+struct DiffTracker<T> {
+    chain: DiffChain<T>,
+    min_d: T,
+    max_d: T,
 }
 
-impl DiffTracker {
+impl<T: DiffInt> DiffTracker<T> {
     fn new(degree: usize) -> Self {
         Self {
-            degree,
-            tail: Vec::with_capacity(degree + 1),
-            count: 0,
-            min_d: i128::MAX,
-            max_d: i128::MIN,
+            chain: DiffChain::new(degree),
+            min_d: T::MAX,
+            max_d: T::MIN,
         }
-    }
-
-    /// The `degree`-th order difference ending at `v`, given the previous
-    /// `degree` values in `tail` (oldest first).
-    fn diff_with(&self, v: i128) -> Option<i128> {
-        if self.tail.len() < self.degree {
-            return if self.degree == 0 { Some(v) } else { None };
-        }
-        // Binomial expansion: Σ (-1)^k · C(d, k) · x_{last-k}
-        let d = self.degree;
-        let mut acc: i128 = 0;
-        let mut coeff: i128 = 1;
-        for k in 0..=d {
-            let x = if k == 0 {
-                v
-            } else {
-                self.tail[self.tail.len() - k]
-            };
-            acc += coeff * x;
-            // next coefficient: C(d,k+1)·(-1)^{k+1}
-            coeff = -coeff * (d as i128 - k as i128) / (k as i128 + 1);
-        }
-        Some(acc)
     }
 
     /// Δ width (bits) after hypothetically pushing `v`, without mutating.
-    fn width_with(&self, v: i128) -> u8 {
-        match self.diff_with(v) {
+    fn width_with(&self, v: T) -> u8 {
+        match self.chain.peek(v) {
             None => self.width(),
-            Some(d) => {
-                let min_d = self.min_d.min(d);
-                let max_d = self.max_d.max(d);
-                spread_bits(min_d, max_d)
-            }
+            Some(d) => T::spread_bits(self.min_d.min(d), self.max_d.max(d)),
         }
     }
 
     /// Current Δ width (bits).
     fn width(&self) -> u8 {
-        if self.count == 0 || self.min_d > self.max_d {
+        if self.min_d > self.max_d {
             0
         } else {
-            spread_bits(self.min_d, self.max_d)
+            T::spread_bits(self.min_d, self.max_d)
         }
     }
 
-    fn push(&mut self, v: i128) {
-        if let Some(d) = self.diff_with(v) {
+    fn push(&mut self, v: T) {
+        if let Some(d) = self.chain.push(v) {
             self.min_d = self.min_d.min(d);
             self.max_d = self.max_d.max(d);
         }
-        if self.degree > 0 {
-            self.tail.push(v);
-            if self.tail.len() > self.degree {
-                self.tail.remove(0);
-            }
-        }
-        self.count += 1;
-    }
-}
-
-/// Bits needed to represent the spread `max − min` (saturating at 64).
-fn spread_bits(min_d: i128, max_d: i128) -> u8 {
-    if min_d > max_d {
-        return 0;
-    }
-    let spread = (max_d - min_d) as u128;
-    if spread > u64::MAX as u128 {
-        64
-    } else {
-        leco_bitpack::bits_for(spread as u64)
     }
 }
 
 /// Scores for the init phase: the bit width of the (degree+1)-th order
 /// difference ending at each position (0 for the first degree+1 positions).
-fn start_scores(values: &[u64], degree: usize) -> Vec<u8> {
-    let order = degree + 1;
-    let mut scores = vec![0u8; values.len()];
-    if values.len() <= order {
-        return scores;
-    }
-    // Difference triangle, computed iteratively.
-    let mut current: Vec<i128> = values.iter().map(|&v| v as i128).collect();
-    for _ in 0..order {
-        for i in (1..current.len()).rev() {
-            current[i] -= current[i - 1];
-        }
-        current.remove(0);
-    }
-    for (i, &d) in current.iter().enumerate() {
-        let mag = d.unsigned_abs();
-        let bits = if mag > u64::MAX as u128 {
-            64
-        } else {
-            leco_bitpack::bits_for(mag as u64)
-        };
-        scores[i + order] = bits;
-    }
-    scores
+fn start_scores<T: DiffInt>(values: &[u64], degree: usize) -> Vec<u8> {
+    let mut chain = DiffChain::<T>::new(degree + 1);
+    values
+        .iter()
+        .map(|&v| chain.push(T::from_u64(v)).map_or(0, T::magnitude_bits))
+        .collect()
 }
 
 /// The split phase: grow partitions greedily from good starting positions.
 fn split_phase(values: &[u64], regressor: RegressorKind, tau: f64) -> Vec<Partition> {
+    if values.iter().all(|&v| v < I64_DIFF_LIMIT) {
+        split_phase_in::<i64>(values, regressor, tau)
+    } else {
+        split_phase_in::<i128>(values, regressor, tau)
+    }
+}
+
+fn split_phase_in<T: DiffInt>(
+    values: &[u64],
+    regressor: RegressorKind,
+    tau: f64,
+) -> Vec<Partition> {
     let n = values.len();
     let degree = proxy_degree(regressor);
     let min_len = (degree + 2).max(2);
     let threshold = tau * nominal_model_bits(regressor);
-    let scores = start_scores(values, degree);
+    let scores = start_scores::<T>(values, degree);
 
     let mut parts: Vec<Partition> = Vec::new();
     let mut i = 0usize;
@@ -210,18 +244,19 @@ fn split_phase(values: &[u64], regressor: RegressorKind, tau: f64) -> Vec<Partit
         }
         let start = i;
         let end = (start + min_len).min(n);
-        let mut tracker = DiffTracker::new(degree);
+        let mut tracker = DiffTracker::<T>::new(degree);
         for &v in &values[start..end] {
-            tracker.push(v as i128);
+            tracker.push(T::from_u64(v));
         }
         let mut j = end;
         while j < n {
             let old_width = tracker.width() as f64;
             let old_len = (j - start) as f64;
-            let new_width = tracker.width_with(values[j] as i128) as f64;
+            let v = T::from_u64(values[j]);
+            let new_width = tracker.width_with(v) as f64;
             let cost = (old_len + 1.0) * new_width - old_len * old_width;
             if cost <= threshold {
-                tracker.push(values[j] as i128);
+                tracker.push(v);
                 j += 1;
             } else {
                 break;
@@ -351,20 +386,14 @@ fn bisect_rec(oracle: &mut CostModel<'_>, p: Partition, cost: usize, out: &mut P
         out.1.push(cost);
         return;
     }
-    // Exactly evaluate the candidate cut points; keep the best one that
-    // beats the unsplit cost.
-    let mut best: Option<(usize, usize, usize)> = None;
-    for b in bisect_candidates(oracle, p) {
-        let left = oracle.exact_bits(p.start, b);
-        let right = oracle.exact_bits(b, p.end());
-        if left + right < cost && best.is_none_or(|(_, l, r)| left + right < l + r) {
-            best = Some((b, left, right));
-        }
-    }
-    match best {
-        Some((b, left, right)) => {
-            bisect_rec(oracle, Partition::new(p.start, b - p.start), left, out);
-            bisect_rec(oracle, Partition::new(b, p.end() - b), right, out);
+    // Exactly evaluate the candidate cut points in one batch; keep the best
+    // one that beats the unsplit cost.
+    let cuts = bisect_candidates(oracle, p);
+    match oracle.best_cut(p.start, p.end(), &cuts, cost) {
+        Some(best) => {
+            let b = best.cut;
+            bisect_rec(oracle, Partition::new(p.start, b - p.start), best.left, out);
+            bisect_rec(oracle, Partition::new(b, p.end() - b), best.right, out);
         }
         None => {
             out.0.push(p);
@@ -398,6 +427,7 @@ fn refine_phase(
     if parts.len() <= 1 {
         return (parts, costs);
     }
+    let mut cuts: Vec<usize> = Vec::with_capacity(REFINE_OFFSETS.len());
     for _ in 0..MAX_REFINE_PASSES {
         let mut changed = false;
         for k in 0..parts.len() - 1 {
@@ -409,22 +439,20 @@ fn refine_phase(
             let mut best_b = parts[k + 1].start;
             let mut best_pair = (costs[k], costs[k + 1]);
             for _ in 0..MAX_REFINE_MOVES {
-                let from = best_b;
-                for off in REFINE_OFFSETS {
-                    let b = from.saturating_add_signed(off);
-                    // Both sides must keep at least one value.
-                    if b <= lo || b >= hi {
-                        continue;
+                // Both sides must keep at least one value.
+                cuts.clear();
+                cuts.extend(
+                    REFINE_OFFSETS
+                        .iter()
+                        .map(|&off| best_b.saturating_add_signed(off))
+                        .filter(|&b| b > lo && b < hi),
+                );
+                match oracle.best_cut(lo, hi, &cuts, best_pair.0 + best_pair.1) {
+                    Some(best) => {
+                        best_b = best.cut;
+                        best_pair = (best.left, best.right);
                     }
-                    let left = oracle.exact_bits(lo, b);
-                    let right = oracle.exact_bits(b, hi);
-                    if left + right < best_pair.0 + best_pair.1 {
-                        best_b = b;
-                        best_pair = (left, right);
-                    }
-                }
-                if best_b == from {
-                    break;
+                    None => break,
                 }
             }
             if best_b != parts[k + 1].start {
@@ -451,8 +479,17 @@ pub fn split_merge(values: &[u64], regressor: RegressorKind, tau: f64) -> Vec<Pa
     if values.is_empty() {
         return Vec::new();
     }
+    split_merge_with(CostModel::new(values, regressor), regressor, tau)
+}
+
+/// [`split_merge`] over the (non-empty) column of a caller-built oracle.
+pub(crate) fn split_merge_with(
+    mut oracle: CostModel<'_>,
+    regressor: RegressorKind,
+    tau: f64,
+) -> Vec<Partition> {
+    let values = oracle.values();
     let _span = leco_obs::span("core.partition.split_merge");
-    let mut oracle = CostModel::new(values, regressor);
     let state = leco_obs::histogram!("core.partition.split_ns").time(|| {
         let parts = split_phase(values, regressor, tau.clamp(0.0, 1.0));
         let costs: Vec<usize> = parts
@@ -481,15 +518,15 @@ mod tests {
     #[test]
     fn diff_tracker_orders() {
         // degree 1: first-order differences of 0, 2, 4, 10 are 2, 2, 6.
-        let mut t = DiffTracker::new(1);
+        let mut t = DiffTracker::<i128>::new(1);
         for v in [0i128, 2, 4] {
             t.push(v);
         }
         assert_eq!(t.width(), leco_bitpack::bits_for(0)); // spread 0
         assert_eq!(t.width_with(10), leco_bitpack::bits_for(4)); // diffs {2,6} spread 4
                                                                  // degree 2: second-order differences of a quadratic are constant.
-        let mut t = DiffTracker::new(2);
-        for v in [0i128, 1, 4, 9, 16, 25] {
+        let mut t = DiffTracker::<i64>::new(2);
+        for v in [0i64, 1, 4, 9, 16, 25] {
             t.push(v);
         }
         assert_eq!(t.width(), 0);
@@ -497,7 +534,7 @@ mod tests {
 
     #[test]
     fn diff_tracker_degree_zero_tracks_value_range() {
-        let mut t = DiffTracker::new(0);
+        let mut t = DiffTracker::<i128>::new(0);
         for v in [100i128, 90, 110] {
             t.push(v);
         }
@@ -509,7 +546,7 @@ mod tests {
         // Smooth line with one spike at position 50.
         let mut values: Vec<u64> = (0..100u64).map(|i| 10 * i).collect();
         values[50] += 5_000;
-        let scores = start_scores(&values, 1);
+        let scores = start_scores::<i64>(&values, 1);
         assert!(
             scores[50] > scores[25],
             "spike should raise the start score"
@@ -622,5 +659,219 @@ mod tests {
         let fine = split_phase(&values, RegressorKind::Linear, 0.01);
         let coarse = split_phase(&values, RegressorKind::Linear, 0.5);
         assert!(fine.len() >= coarse.len());
+    }
+    /// The split phase this module shipped before the in-place difference
+    /// chain (a `Vec<i128>` difference triangle and a shifted `Vec` tail),
+    /// kept as the oracle for `split_phase_matches_the_reference`.
+    mod reference {
+        use super::super::{
+            nominal_model_bits, proxy_degree, Partition, RegressorKind, START_LOOKAHEAD,
+        };
+
+        /// Incrementally tracks the spread (max − min) of the `degree`-th order
+        /// differences of the values pushed so far, yielding the Δ width proxy.
+        #[derive(Debug, Clone)]
+        struct OldDiffTracker {
+            degree: usize,
+            /// Last `degree` raw values (enough to form the next difference).
+            tail: Vec<i128>,
+            count: usize,
+            min_d: i128,
+            max_d: i128,
+        }
+
+        impl OldDiffTracker {
+            fn new(degree: usize) -> Self {
+                Self {
+                    degree,
+                    tail: Vec::with_capacity(degree + 1),
+                    count: 0,
+                    min_d: i128::MAX,
+                    max_d: i128::MIN,
+                }
+            }
+
+            /// The `degree`-th order difference ending at `v`, given the previous
+            /// `degree` values in `tail` (oldest first).
+            fn diff_with(&self, v: i128) -> Option<i128> {
+                if self.tail.len() < self.degree {
+                    return if self.degree == 0 { Some(v) } else { None };
+                }
+                // Binomial expansion: Σ (-1)^k · C(d, k) · x_{last-k}
+                let d = self.degree;
+                let mut acc: i128 = 0;
+                let mut coeff: i128 = 1;
+                for k in 0..=d {
+                    let x = if k == 0 {
+                        v
+                    } else {
+                        self.tail[self.tail.len() - k]
+                    };
+                    acc += coeff * x;
+                    // next coefficient: C(d,k+1)·(-1)^{k+1}
+                    coeff = -coeff * (d as i128 - k as i128) / (k as i128 + 1);
+                }
+                Some(acc)
+            }
+
+            /// Δ width (bits) after hypothetically pushing `v`, without mutating.
+            fn width_with(&self, v: i128) -> u8 {
+                match self.diff_with(v) {
+                    None => self.width(),
+                    Some(d) => {
+                        let min_d = self.min_d.min(d);
+                        let max_d = self.max_d.max(d);
+                        old_spread_bits(min_d, max_d)
+                    }
+                }
+            }
+
+            /// Current Δ width (bits).
+            fn width(&self) -> u8 {
+                if self.count == 0 || self.min_d > self.max_d {
+                    0
+                } else {
+                    old_spread_bits(self.min_d, self.max_d)
+                }
+            }
+
+            fn push(&mut self, v: i128) {
+                if let Some(d) = self.diff_with(v) {
+                    self.min_d = self.min_d.min(d);
+                    self.max_d = self.max_d.max(d);
+                }
+                if self.degree > 0 {
+                    self.tail.push(v);
+                    if self.tail.len() > self.degree {
+                        self.tail.remove(0);
+                    }
+                }
+                self.count += 1;
+            }
+        }
+
+        /// Bits needed to represent the spread `max − min` (saturating at 64).
+        fn old_spread_bits(min_d: i128, max_d: i128) -> u8 {
+            if min_d > max_d {
+                return 0;
+            }
+            let spread = (max_d - min_d) as u128;
+            if spread > u64::MAX as u128 {
+                64
+            } else {
+                leco_bitpack::bits_for(spread as u64)
+            }
+        }
+
+        /// Scores for the init phase: the bit width of the (degree+1)-th order
+        /// difference ending at each position (0 for the first degree+1 positions).
+        fn old_start_scores(values: &[u64], degree: usize) -> Vec<u8> {
+            let order = degree + 1;
+            let mut scores = vec![0u8; values.len()];
+            if values.len() <= order {
+                return scores;
+            }
+            // Difference triangle, computed iteratively.
+            let mut current: Vec<i128> = values.iter().map(|&v| v as i128).collect();
+            for _ in 0..order {
+                for i in (1..current.len()).rev() {
+                    current[i] -= current[i - 1];
+                }
+                current.remove(0);
+            }
+            for (i, &d) in current.iter().enumerate() {
+                let mag = d.unsigned_abs();
+                let bits = if mag > u64::MAX as u128 {
+                    64
+                } else {
+                    leco_bitpack::bits_for(mag as u64)
+                };
+                scores[i + order] = bits;
+            }
+            scores
+        }
+
+        /// The split phase as it was before the in-place difference chain.
+        pub(super) fn old_split_phase(
+            values: &[u64],
+            regressor: RegressorKind,
+            tau: f64,
+        ) -> Vec<Partition> {
+            let n = values.len();
+            let degree = proxy_degree(regressor);
+            let min_len = (degree + 2).max(2);
+            let threshold = tau * nominal_model_bits(regressor);
+            let scores = old_start_scores(values, degree);
+
+            let mut parts: Vec<Partition> = Vec::new();
+            let mut i = 0usize;
+            while i < n {
+                // Init: if the immediate position is "bumpy", emit singletons until a
+                // locally smooth start within the look-ahead window.
+                if i > 0 && n - i > min_len + START_LOOKAHEAD {
+                    let window_end = (i + START_LOOKAHEAD).min(n - min_len);
+                    let best = (i..window_end).min_by_key(|&p| scores[p]).unwrap_or(i);
+                    while i < best {
+                        parts.push(Partition::new(i, 1));
+                        i += 1;
+                    }
+                }
+                let start = i;
+                let end = (start + min_len).min(n);
+                let mut tracker = OldDiffTracker::new(degree);
+                for &v in &values[start..end] {
+                    tracker.push(v as i128);
+                }
+                let mut j = end;
+                while j < n {
+                    let old_width = tracker.width() as f64;
+                    let old_len = (j - start) as f64;
+                    let new_width = tracker.width_with(values[j] as i128) as f64;
+                    let cost = (old_len + 1.0) * new_width - old_len * old_width;
+                    if cost <= threshold {
+                        tracker.push(values[j] as i128);
+                        j += 1;
+                    } else {
+                        break;
+                    }
+                }
+                parts.push(Partition::new(start, j - start));
+                i = j;
+            }
+            parts
+        }
+    }
+
+    #[test]
+    fn split_phase_matches_the_reference() {
+        let mut columns: Vec<Vec<u64>> = Vec::new();
+        for dataset in leco_datasets::IntDataset::ALL {
+            for (n, seed) in [(1_000, 1), (10_000, 2), (65_536, 3)] {
+                columns.push(leco_datasets::generate(dataset, n, seed));
+            }
+        }
+        // Values past the i64 difference limit, the full u64 range, tiny inputs.
+        let wide = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        columns.push((0..5_000u64).map(wide).collect());
+        columns.push((0..5_000u64).map(|i| (1 << 58) - 2_500 + i).collect());
+        columns.push((0..3_000u64).map(|i| u64::MAX - wide(i) % 1_000).collect());
+        columns.extend((0..8usize).map(|n| (0..n as u64).map(|i| i * i).collect()));
+        for values in &columns {
+            for kind in [
+                RegressorKind::Constant,
+                RegressorKind::Linear,
+                RegressorKind::Poly2,
+                RegressorKind::Poly3,
+            ] {
+                for tau in [0.0, 0.1, 1.0] {
+                    assert_eq!(
+                        split_phase(values, kind, tau),
+                        reference::old_split_phase(values, kind, tau),
+                        "{kind:?} tau {tau} n {}",
+                        values.len()
+                    );
+                }
+            }
+        }
     }
 }

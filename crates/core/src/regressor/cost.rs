@@ -16,11 +16,14 @@
 //!   [`partition_cost_bits_exact`] —
 //!   including the θ₁-accumulation correction list.  Results are memoised
 //!   per span, so the split–merge phases and the DP partitioner never fit
-//!   the same range twice.
+//!   the same range twice.  [`CostModel::price_cuts`] prices a whole batch
+//!   of candidate cuts of one span from two hull sweeps shared by all of
+//!   them, to the same bits.
 
 use std::collections::HashMap;
 
-use super::{fit_checked, partition_cost_bits_exact, FitContext};
+use super::linear::{self, Point};
+use super::{fit_checked, partition_cost_bits_exact, residuals, FitContext};
 use crate::model::RegressorKind;
 
 /// Spread ≈ `RMS_SPREAD_FACTOR · rms` when turning an O(1) RMS residual
@@ -171,10 +174,70 @@ pub struct CostModel<'a> {
     ctx: FitContext,
     cache: Option<FitCache>,
     memo: HashMap<(u32, u32), usize>,
+    /// False only for the [`Self::per_span`] test oracle.
+    shared_sweeps: bool,
+    sweep: SweepScratch,
+    routes: PriceRoutes,
 }
 
 /// Spans shorter than this are cheaper to fit directly than to memoise.
 const MEMO_MIN_LEN: usize = 8;
+
+/// Spans shorter than this go to the per-span route in
+/// [`CostModel::price_cuts`]: two sweeps do not pay for themselves there.
+const SHARED_MIN_LEN: usize = 32;
+
+/// Mantissa bits an `f64` product may use and still be exact: the budget of
+/// the exactness guard in [`CostModel::price_cuts`].
+const EXACT_PRODUCT_BITS: u32 = 52;
+
+/// Marks a side of a cut that still has to be priced.
+const UNPRICED: usize = usize::MAX;
+
+/// One candidate cut `b` of a span `[lo, hi)` and the exact costs of the
+/// two partitions it would leave, as [`CostModel::exact_bits`] prices them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PricedCut {
+    /// The cut position: the left partition is `[lo, cut)`, the right
+    /// `[cut, hi)`.
+    pub cut: usize,
+    /// `exact_bits(lo, cut)`.
+    pub left: usize,
+    /// `exact_bits(cut, hi)`.
+    pub right: usize,
+}
+
+impl PricedCut {
+    /// Cost of the pair.
+    pub fn total(&self) -> usize {
+        self.left + self.right
+    }
+}
+
+/// How many [`CostModel::price_cuts`] batches took each route.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PriceRoutes {
+    /// Batches priced from the two shared hull sweeps.
+    pub shared: usize,
+    /// Batches priced one span at a time (guard failed, short span,
+    /// non-linear regressor).
+    pub per_span: usize,
+}
+
+/// Buffers of the shared route, kept across batches so pricing a cut
+/// allocates nothing.
+#[derive(Default)]
+struct SweepScratch {
+    /// Offsets of the batch's span from its first value.
+    ys: Vec<f64>,
+    /// The sweep's hull stacks, in the coordinates of `ys`.
+    upper: Vec<Point>,
+    lower: Vec<Point>,
+    /// A right span's hulls, left to right in its own coordinates.
+    own_upper: Vec<Point>,
+    own_lower: Vec<Point>,
+    priced: Vec<PricedCut>,
+}
 
 impl<'a> CostModel<'a> {
     /// Build an oracle for `values` under `kind`.  The prefix-sum cache is
@@ -188,6 +251,19 @@ impl<'a> CostModel<'a> {
             ctx: FitContext::default(),
             cache,
             memo: HashMap::new(),
+            shared_sweeps: true,
+            sweep: SweepScratch::default(),
+            routes: PriceRoutes::default(),
+        }
+    }
+
+    /// Test support: an oracle whose [`Self::price_cuts`] always prices one
+    /// span at a time — the reference the shared route is checked against.
+    #[doc(hidden)]
+    pub fn per_span(values: &'a [u64], kind: RegressorKind) -> Self {
+        Self {
+            shared_sweeps: false,
+            ..Self::new(values, kind)
         }
     }
 
@@ -239,6 +315,196 @@ impl<'a> CostModel<'a> {
         let (model, stats) = leco_obs::histogram!("core.fit_ns")
             .time(|| fit_checked(self.kind, &self.values[lo..hi], &self.ctx));
         partition_cost_bits_exact(&model, hi - lo, &stats)
+    }
+
+    /// Price every candidate cut of `[lo, hi)` — `cuts` strictly ascending,
+    /// each inside `(lo, hi)` — exactly as `exact_bits(lo, b)` and
+    /// `exact_bits(b, hi)` would, memo included.
+    ///
+    /// On the shared route the batch costs two hull sweeps instead of two
+    /// hull builds per cut (`docs/PARTITIONING.md`, "Pricing cuts: shared
+    /// sweeps"): a forward monotone chain over `[lo, max cut)`, whose stacks
+    /// on reaching `b` are the hulls of `[lo, b)`, and a backward chain over
+    /// `[min cut, hi)` for the hulls of `[b, hi)`; each side of each cut
+    /// then takes the calipers walk over its hull plus the intercept and
+    /// residual passes, in that span's own coordinates.  The route is taken
+    /// only where it provably reproduces the per-span fit bit for bit — a
+    /// linear regressor and `bits_for(max − min) + bits_for(hi − lo) ≤ 52`
+    /// over the span, which makes every cross product of either chain exact
+    /// in `f64` and the strict hull therefore the same vertex set whichever
+    /// direction built it.  Everything else is priced one span at a time.
+    pub fn price_cuts(&mut self, lo: usize, hi: usize, cuts: &[usize]) -> &[PricedCut] {
+        assert!(
+            lo < hi && hi <= self.values.len(),
+            "invalid span {lo}..{hi}"
+        );
+        assert!(
+            cuts.windows(2).all(|w| w[0] < w[1])
+                && cuts.first().is_none_or(|&b| b > lo)
+                && cuts.last().is_none_or(|&b| b < hi),
+            "cuts {cuts:?} must ascend strictly inside {lo}..{hi}"
+        );
+        // Out of `self` while `self` prices spans into it.
+        let mut sweep = std::mem::take(&mut self.sweep);
+        sweep.priced.clear();
+        if self.sweeps_are_exact(lo, hi) {
+            self.routes.shared += 1;
+            sweep.priced.extend(cuts.iter().map(|&cut| PricedCut {
+                cut,
+                left: self.memoised(lo, cut).unwrap_or(UNPRICED),
+                right: self.memoised(cut, hi).unwrap_or(UNPRICED),
+            }));
+            self.price_from_sweeps(lo, hi, &mut sweep);
+        } else {
+            self.routes.per_span += 1;
+            sweep.priced.extend(cuts.iter().map(|&cut| PricedCut {
+                cut,
+                left: self.exact_bits(lo, cut),
+                right: self.exact_bits(cut, hi),
+            }));
+        }
+        self.sweep = sweep;
+        &self.sweep.priced
+    }
+
+    /// The first cheapest of `cuts` (as [`Self::price_cuts`] takes them)
+    /// whose pair costs strictly less than `incumbent`, if any.
+    pub fn best_cut(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        cuts: &[usize],
+        incumbent: usize,
+    ) -> Option<PricedCut> {
+        let mut best: Option<PricedCut> = None;
+        for &c in self.price_cuts(lo, hi, cuts) {
+            if c.total() < best.map_or(incumbent, |b| b.total()) {
+                best = Some(c);
+            }
+        }
+        best
+    }
+
+    /// How many [`Self::price_cuts`] batches took each route so far.
+    pub fn price_routes(&self) -> PriceRoutes {
+        self.routes
+    }
+
+    fn memoised(&self, lo: usize, hi: usize) -> Option<usize> {
+        if hi - lo < MEMO_MIN_LEN {
+            return None;
+        }
+        self.memo.get(&(lo as u32, hi as u32)).copied()
+    }
+
+    /// The exactness guard of the shared route (see [`Self::price_cuts`]).
+    fn sweeps_are_exact(&self, lo: usize, hi: usize) -> bool {
+        if !self.shared_sweeps
+            || hi - lo < SHARED_MIN_LEN
+            || !matches!(self.kind, RegressorKind::Linear | RegressorKind::Auto)
+        {
+            return false;
+        }
+        let (min, max) = self.values[lo..hi]
+            .iter()
+            .fold((u64::MAX, 0), |(min, max), &v| (min.min(v), max.max(v)));
+        let bits =
+            leco_bitpack::bits_for(max - min) as u32 + usize::BITS - (hi - lo).leading_zeros();
+        bits <= EXACT_PRODUCT_BITS
+    }
+
+    /// Fill in every [`UNPRICED`] side of `sweep.priced` from one forward and
+    /// one backward hull sweep over `[lo, hi)`.
+    fn price_from_sweeps(&mut self, lo: usize, hi: usize, sweep: &mut SweepScratch) {
+        let SweepScratch {
+            ys,
+            upper,
+            lower,
+            own_upper,
+            own_lower,
+            priced,
+        } = sweep;
+        let base = self.values[lo];
+        // Exact under the guard, and the same numbers `offsets_f64` yields.
+        ys.clear();
+        ys.extend(
+            self.values[lo..hi]
+                .iter()
+                .map(|&v| v.wrapping_sub(base) as i64 as f64),
+        );
+
+        // Forward: once the points of [lo, b) are pushed, the stacks are the
+        // hulls of [lo, b), already in that span's coordinates.
+        upper.clear();
+        lower.clear();
+        let mut pushed = 0;
+        for c in priced.iter_mut().filter(|c| c.left == UNPRICED) {
+            let n = c.cut - lo;
+            while pushed < n {
+                let p = (pushed as f64, ys[pushed]);
+                linear::push_clockwise(upper, p);
+                linear::push_counter_clockwise(lower, p);
+                pushed += 1;
+            }
+            c.left = self.price_hulls(lo, c.cut, upper, lower, &ys[..n], 0.0);
+        }
+
+        // Backward: once the points of [b, hi) are pushed, the stacks hold
+        // the hulls of [b, hi) right to left, in the coordinates of `lo`.
+        upper.clear();
+        lower.clear();
+        let mut pushed = hi - lo;
+        for c in priced.iter_mut().rev().filter(|c| c.right == UNPRICED) {
+            let first = c.cut - lo;
+            while pushed > first {
+                pushed -= 1;
+                let p = (pushed as f64, ys[pushed]);
+                linear::push_counter_clockwise(upper, p);
+                linear::push_clockwise(lower, p);
+            }
+            // Both subtractions are exact under the guard.
+            let (x0, y0) = (first as f64, ys[first]);
+            let own = |&(x, y): &Point| (x - x0, y - y0);
+            own_upper.clear();
+            own_upper.extend(upper.iter().rev().map(own));
+            own_lower.clear();
+            own_lower.extend(lower.iter().rev().map(own));
+            c.right = self.price_hulls(c.cut, hi, own_upper, own_lower, &ys[first..], y0);
+        }
+    }
+
+    /// Price `[lo, hi)` given its hulls in its own coordinates and its
+    /// offsets `ys − y0`: the calipers walk, the intercept pass and the
+    /// residual statistics, with the expressions of the per-span route.
+    /// Memoises like [`Self::exact_bits`].
+    fn price_hulls(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        upper: &[Point],
+        lower: &[Point],
+        ys: &[f64],
+        y0: f64,
+    ) -> usize {
+        let n = hi - lo;
+        if n < 3 {
+            // `fit_linear` answers these without a hull.
+            return self.exact_bits(lo, hi);
+        }
+        let bits = leco_obs::histogram!("core.fit_ns").time(|| {
+            let slope = linear::calipers(upper, lower);
+            let model = linear::centred_line(ys, y0, slope);
+            match residuals(&model, &self.values[lo..hi], |_, _| {}) {
+                Some(stats) => partition_cost_bits_exact(&model, n, &stats),
+                // Unreachable under the guard; the per-span route knows the
+                // constant fallback.
+                None => self.exact_bits_uncached(lo, hi),
+            }
+        });
+        if n >= MEMO_MIN_LEN {
+            self.memo.insert((lo as u32, hi as u32), bits);
+        }
+        bits
     }
 }
 

@@ -31,58 +31,101 @@ pub fn fit_constant(ys: &[f64]) -> Model {
     }
 }
 
-/// Residual extremes of `y − b·x` for a candidate slope.
+/// Residual extremes of `(y − y0) − b·x` for a candidate slope, `x` being
+/// the index into `ys`.  (`y0` re-bases offsets taken from another origin;
+/// `y − 0.0` is `y`.)
+///
+/// Four independent lanes with an `f64` position counter (exact below 2^53,
+/// so bit-identical to `i as f64`) and min/max by comparison, which lets the
+/// loop vectorise.  A comparison skips a NaN residual exactly as `f64::min`
+/// does, and the order of the comparisons cannot matter otherwise: a
+/// residual is never `−0.0`, because the encoder's offsets never are and
+/// `x − x` rounds to `+0.0`.
 #[inline]
-fn residual_range(ys: &[f64], b: f64) -> (f64, f64) {
-    let mut rmin = f64::INFINITY;
-    let mut rmax = f64::NEG_INFINITY;
-    for (i, &y) in ys.iter().enumerate() {
-        let r = y - b * i as f64;
-        rmin = rmin.min(r);
-        rmax = rmax.max(r);
+pub(crate) fn residual_range(ys: &[f64], y0: f64, b: f64) -> (f64, f64) {
+    const LANES: usize = 4;
+    let mut rmin = [f64::INFINITY; LANES];
+    let mut rmax = [f64::NEG_INFINITY; LANES];
+    let mut x = [0.0, 1.0, 2.0, 3.0];
+    let mut track = |k: usize, y: f64| {
+        let r = (y - y0) - b * x[k];
+        if r < rmin[k] {
+            rmin[k] = r;
+        }
+        if r > rmax[k] {
+            rmax[k] = r;
+        }
+        x[k] += LANES as f64;
+    };
+    let mut chunks = ys.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (k, &y) in chunk.iter().enumerate() {
+            track(k, y);
+        }
     }
-    (rmin, rmax)
+    for (k, &y) in chunks.remainder().iter().enumerate() {
+        track(k, y);
+    }
+    let (mut lo, mut hi) = (rmin[0], rmax[0]);
+    for k in 1..LANES {
+        if rmin[k] < lo {
+            lo = rmin[k];
+        }
+        if rmax[k] > hi {
+            hi = rmax[k];
+        }
+    }
+    (lo, hi)
 }
 
-/// Fit a linear model minimising the maximum absolute error, exactly, in
-/// `O(n)`: convex hulls + rotating calipers over the slope breakpoints.
-pub fn fit_linear(ys: &[f64]) -> Model {
-    let n = ys.len();
-    if n <= 1 {
-        return Model::Linear {
-            theta0: ys.first().copied().unwrap_or(0.0),
-            theta1: 0.0,
-        };
-    }
-    if n == 2 {
-        return Model::Linear {
-            theta0: ys[0],
-            theta1: ys[1] - ys[0],
-        };
-    }
-    if ys.iter().any(|y| !y.is_finite()) {
-        return fit_least_squares(ys);
-    }
+/// A hull vertex `(x, y)` in the coordinates of the span being fitted:
+/// `x` the local position, `y` the offset from the span's first value.
+pub(crate) type Point = (f64, f64);
 
-    // Monotone-chain hulls over (i, y_i); x is already sorted.  The argmax of
-    // `y − b·x` over all points is always attained at an upper-hull vertex,
-    // the argmin at a lower-hull vertex.
-    let cross = |o: usize, a: usize, b: usize| -> f64 {
-        (a - o) as f64 * (ys[b] - ys[o]) - (ys[a] - ys[o]) * (b - o) as f64
-    };
-    let mut upper: Vec<usize> = Vec::new();
-    let mut lower: Vec<usize> = Vec::new();
-    for i in 0..n {
-        while upper.len() >= 2 && cross(upper[upper.len() - 2], upper[upper.len() - 1], i) >= 0.0 {
-            upper.pop();
+/// Twice the signed area of the triangle `o → a → p`: positive when `p` lies
+/// to the left of the ray `o → a`.
+#[inline]
+fn cross(o: Point, a: Point, p: Point) -> f64 {
+    (a.0 - o.0) * (p.1 - o.1) - (a.1 - o.1) * (p.0 - o.0)
+}
+
+/// One monotone-chain step that keeps `stack` turning clockwise as seen in
+/// push order: the upper hull when `x` ascends, the lower hull when it
+/// descends.  Collinear vertices are popped, so the stack is the *strict*
+/// hull of everything pushed so far — after `k` pushes it is exactly the
+/// stack a fresh chain over those `k` points alone would hold.
+#[inline]
+pub(crate) fn push_clockwise(stack: &mut Vec<Point>, p: Point) {
+    while let [.., o, a] = stack[..] {
+        if cross(o, a, p) >= 0.0 {
+            stack.pop();
+        } else {
+            break;
         }
-        upper.push(i);
-        while lower.len() >= 2 && cross(lower[lower.len() - 2], lower[lower.len() - 1], i) <= 0.0 {
-            lower.pop();
-        }
-        lower.push(i);
     }
-    let slope = |p: usize, q: usize| (ys[q] - ys[p]) / (q - p) as f64;
+    stack.push(p);
+}
+
+/// [`push_clockwise`] mirrored: the lower hull when `x` ascends, the upper
+/// hull when it descends.
+#[inline]
+pub(crate) fn push_counter_clockwise(stack: &mut Vec<Point>, p: Point) {
+    while let [.., o, a] = stack[..] {
+        if cross(o, a, p) <= 0.0 {
+            stack.pop();
+        } else {
+            break;
+        }
+    }
+    stack.push(p);
+}
+
+/// The rotating-calipers half of the minimax fit: given the upper and lower
+/// hulls of a span's points (both left to right, in the span's own
+/// coordinates), return the slope minimising the width
+/// `w(b) = max_i(y_i − b·i) − min_i(y_i − b·i)`.
+pub(crate) fn calipers(upper: &[Point], lower: &[Point]) -> f64 {
+    let slope = |p: Point, q: Point| (q.1 - p.1) / (q.0 - p.0);
 
     // As b grows, the maximising upper vertex walks right → left (its edge
     // slopes, read right to left, increase) and the minimising lower vertex
@@ -94,7 +137,7 @@ pub fn fit_linear(ys: &[f64]) -> Model {
     let mut il = 0usize; // argmin vertex for b = −∞ (leftmost)
     let mut next_u = upper.len() - 1; // next upper edge: (upper[next_u−1], upper[next_u])
     let mut next_l = 0usize; // next lower edge: (lower[next_l], lower[next_l+1])
-    let mut best_b = slope(0, n - 1);
+    let mut best_b = slope(upper[0], upper[upper.len() - 1]);
     let mut best_w = f64::INFINITY;
     loop {
         let u_slope = (next_u > 0).then(|| slope(upper[next_u - 1], upper[next_u]));
@@ -124,21 +167,57 @@ pub fn fit_linear(ys: &[f64]) -> Model {
         };
         // At a breakpoint both adjacent vertices evaluate equally, so using
         // the freshly advanced vertex pair is exact.
-        let (xu, yu) = (upper[iu] as f64, ys[upper[iu]]);
-        let (xl, yl) = (lower[il] as f64, ys[lower[il]]);
+        let (xu, yu) = upper[iu];
+        let (xl, yl) = lower[il];
         let w = (yu - b * xu) - (yl - b * xl);
         if w < best_w {
             best_w = w;
             best_b = b;
         }
     }
-    // Centre the intercept on the true residual range of the chosen slope
-    // (one exact pass, robust to any float wiggle in the hull walk).
-    let (rmin, rmax) = residual_range(ys, best_b);
+    best_b
+}
+
+/// The line of slope `b` centred on the true residual range of the offsets
+/// `ys − y0` (one exact pass, robust to any float wiggle in the hull walk).
+pub(crate) fn centred_line(ys: &[f64], y0: f64, b: f64) -> Model {
+    let (rmin, rmax) = residual_range(ys, y0, b);
     Model::Linear {
         theta0: (rmin + rmax) / 2.0,
-        theta1: best_b,
+        theta1: b,
     }
+}
+
+/// Fit a linear model minimising the maximum absolute error, exactly, in
+/// `O(n)`: convex hulls + rotating calipers over the slope breakpoints.
+pub fn fit_linear(ys: &[f64]) -> Model {
+    let n = ys.len();
+    if n <= 1 {
+        return Model::Linear {
+            theta0: ys.first().copied().unwrap_or(0.0),
+            theta1: 0.0,
+        };
+    }
+    if n == 2 {
+        return Model::Linear {
+            theta0: ys[0],
+            theta1: ys[1] - ys[0],
+        };
+    }
+    if ys.iter().any(|y| !y.is_finite()) {
+        return fit_least_squares(ys);
+    }
+
+    // Monotone-chain hulls over (i, y_i); x is already sorted.  The argmax of
+    // `y − b·x` over all points is always attained at an upper-hull vertex,
+    // the argmin at a lower-hull vertex.
+    let mut upper: Vec<Point> = Vec::new();
+    let mut lower: Vec<Point> = Vec::new();
+    for (i, &y) in ys.iter().enumerate() {
+        push_clockwise(&mut upper, (i as f64, y));
+        push_counter_clockwise(&mut lower, (i as f64, y));
+    }
+    centred_line(ys, 0.0, calipers(&upper, &lower))
 }
 
 /// The previous ternary-search minimax fit, kept as a reference
@@ -173,7 +252,7 @@ pub fn fit_linear_ternary(ys: &[f64]) -> Model {
     }
     if hi - lo < f64::EPSILON * (1.0 + hi.abs()) {
         // Perfectly linear.
-        let (rmin, rmax) = residual_range(ys, lo);
+        let (rmin, rmax) = residual_range(ys, 0.0, lo);
         return Model::Linear {
             theta0: (rmin + rmax) / 2.0,
             theta1: lo,
@@ -181,7 +260,7 @@ pub fn fit_linear_ternary(ys: &[f64]) -> Model {
     }
     // Ternary search on the convex width function.
     let width = |b: f64| {
-        let (rmin, rmax) = residual_range(ys, b);
+        let (rmin, rmax) = residual_range(ys, 0.0, b);
         rmax - rmin
     };
     for _ in 0..64 {
@@ -197,7 +276,7 @@ pub fn fit_linear_ternary(ys: &[f64]) -> Model {
         }
     }
     let b = (lo + hi) / 2.0;
-    let (rmin, rmax) = residual_range(ys, b);
+    let (rmin, rmax) = residual_range(ys, 0.0, b);
     Model::Linear {
         theta0: (rmin + rmax) / 2.0,
         theta1: b,
@@ -228,7 +307,7 @@ pub fn fit_least_squares(ys: &[f64]) -> Model {
     let theta1 = (n * sum_xy - sum_x * sum_y) / denom;
     let theta0 = (sum_y - theta1 * sum_x) / n;
     // Centre the residuals so the maximum absolute error is balanced.
-    let (rmin, rmax) = residual_range(ys, theta1);
+    let (rmin, rmax) = residual_range(ys, 0.0, theta1);
     let _ = theta0;
     Model::Linear {
         theta0: (rmin + rmax) / 2.0,

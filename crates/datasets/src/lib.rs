@@ -131,6 +131,31 @@ impl IntDataset {
         IntDataset::Adult,
     ];
 
+    /// Every data set, in declaration order.
+    pub const ALL: [IntDataset; 21] = [
+        IntDataset::Linear,
+        IntDataset::Normal,
+        IntDataset::Poisson,
+        IntDataset::Ml,
+        IntDataset::Booksale,
+        IntDataset::Facebook,
+        IntDataset::Wiki,
+        IntDataset::Osm,
+        IntDataset::Movieid,
+        IntDataset::HousePrice,
+        IntDataset::Planet,
+        IntDataset::Libio,
+        IntDataset::Medicare,
+        IntDataset::Cosmos,
+        IntDataset::Polylog,
+        IntDataset::Exp,
+        IntDataset::Poly,
+        IntDataset::Site,
+        IntDataset::Weight,
+        IntDataset::Adult,
+        IntDataset::Timestamps,
+    ];
+
     /// Paper name of the data set (used as a row/series label in the
     /// reproduction harness).
     pub fn name(&self) -> &'static str {
