@@ -5,20 +5,24 @@
 //! inside a shared bit-packed payload (Figure 7's layout).  Decoding one
 //! value is a model inference plus one bit-extract; decoding a range uses the
 //! θ₁-accumulation optimisation with an error-correction list (§3.3).
+//!
+//! Every read path goes through the column's `ReadTable`, one 64-byte
+//! record per partition derived at load (`crate::read_table`).
 
 use crate::advisor::RegressorSelector;
-use crate::model::{Model, RegressorKind, SlackBands};
+use crate::model::{self, floor_to_i64, Model, RegressorKind, SlackBands};
 use crate::partition::{self, PartitionerKind};
+use crate::read_table::{ReadTable, Route};
 use crate::regressor::{self, DeltaStats, FitContext};
 use crate::value::LecoInt;
 use crate::LecoConfig;
 use leco_bitpack::{stream::read_bits, BitWriter};
 
 /// Per-partition metadata kept in memory (and serialized by [`crate::format`]).
+/// Start positions and payload bit offsets are derived into the
+/// [`ReadTable`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PartitionMeta {
-    /// Logical index of the first value.
-    pub start: u64,
     /// Number of values.
     pub len: u32,
     /// Fitted model (predicting offsets; the absolute anchor lives in `bias`).
@@ -27,9 +31,6 @@ pub(crate) struct PartitionMeta {
     pub bias: i128,
     /// Bits per packed delta.
     pub width: u8,
-    /// Bit offset of this partition's deltas inside the shared payload
-    /// (derived, not serialized).
-    pub bit_offset: u64,
     /// Local positions where the θ₁-accumulation floor differs from the exact
     /// model floor (only populated for linear models).
     pub corrections: Vec<u32>,
@@ -216,24 +217,22 @@ impl LecoCompressor {
                 (RegressorKind::Auto, Some(sel)) => sel.recommend(slice),
                 (kind, _) => *kind,
             };
-            let bit_offset = writer.len_bits() as u64;
             let (model, stats) = encode_partition(kind, slice, &mut writer);
             // Only the θ₁-accumulation fallback decoder ever consults the
             // correction list (`Model::needs_corrections`); partitions on
             // the direct-evaluation fast path store none — format v2.
             let corrections = model.drift_corrections(p.len);
             metas.push(PartitionMeta {
-                start: p.start as u64,
                 len: p.len as u32,
                 model,
                 bias: stats.bias,
                 width: stats.width,
-                bit_offset,
                 corrections,
             });
         }
         let (payload, payload_bits) = writer.finish();
         let mut column = CompressedColumn {
+            table: ReadTable::derive(&metas, values.len(), fixed_len),
             partitions: metas,
             payload,
             payload_bits,
@@ -251,6 +250,8 @@ impl LecoCompressor {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedColumn {
     pub(crate) partitions: Vec<PartitionMeta>,
+    /// Derived per-partition read records (never serialized).
+    pub(crate) table: ReadTable,
     pub(crate) payload: Vec<u64>,
     pub(crate) payload_bits: usize,
     pub(crate) len: usize,
@@ -302,9 +303,10 @@ impl CompressedColumn {
     /// partitioner chose.  Useful for auditing partition decisions and for
     /// reconciling the cost model against the serialized size.
     pub fn partition_spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.partitions
+        self.table
+            .entries
             .iter()
-            .map(|p| (p.start as usize, p.len as usize))
+            .map(|e| (e.start as usize, e.len as usize))
     }
 
     /// Original value width in bytes.
@@ -312,43 +314,36 @@ impl CompressedColumn {
         self.value_width
     }
 
-    /// Index of the partition containing logical position `i`.
-    #[inline]
-    fn partition_of(&self, i: usize) -> usize {
-        if let Some(l) = self.fixed_len {
-            return (i / l).min(self.partitions.len() - 1);
-        }
-        // Learned lookup: interpolate, then fix up with a local search.
-        let n = self.partitions.len();
-        let mut guess = ((i as f64 / self.len as f64) * n as f64) as usize;
-        if guess >= n {
-            guess = n - 1;
-        }
-        while self.partitions[guess].start as usize > i {
-            guess -= 1;
-        }
-        while guess + 1 < n && self.partitions[guess + 1].start as usize <= i {
-            guess += 1;
-        }
-        guess
-    }
-
     /// Random access to the value at position `i`.
+    ///
+    /// The read table names the partition — one division for fixed-length
+    /// partitions, a bucket lookup otherwise — and constant and linear
+    /// partitions evaluate `floor(θ0 + θ1·local) + base + packed` in wrapping
+    /// `u64`; other models fall back to `Model::predict_floor`.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        let p = &self.partitions[self.partition_of(i)];
-        let local = i - p.start as usize;
-        let packed = if p.width == 0 {
-            0
-        } else {
-            read_bits(
-                &self.payload,
-                p.bit_offset as usize + local * p.width as usize,
-                p.width,
-            )
-        };
-        (p.model.predict_floor(local) + p.bias + packed as i128) as u64
+        let k = self.table.partition_of(i);
+        let e = &self.table.entries[k];
+        let local = i - e.start as usize;
+        let packed = read_bits(
+            &self.payload,
+            e.bit_offset as usize + local * e.width as usize,
+            e.width,
+        );
+        match e.route {
+            Route::Constant | Route::Linear => (floor_to_i64(e.theta0 + e.theta1 * local as f64)
+                as u64)
+                .wrapping_add(e.base)
+                .wrapping_add(packed),
+            Route::Model => {
+                let p = &self.partitions[k];
+                p.model
+                    .predict_floor(local)
+                    .wrapping_add(p.bias)
+                    .wrapping_add(packed as i128) as u64
+            }
+        }
     }
 
     /// Random access returning the original integer type.
@@ -361,11 +356,12 @@ impl CompressedColumn {
     /// Every partition segment is decoded with the fused word-parallel bulk
     /// path: the packed deltas are unpacked straight into the output buffer
     /// by [`leco_bitpack::unpack_bits_into`] (several values per word read),
-    /// then the model prediction and bias are folded in with one in-place
-    /// pass.  Full partitions with linear models additionally use the
-    /// θ₁-accumulation fast path (one addition instead of a multiplication
-    /// per value) with the correction list compensating for floating-point
-    /// drift; partial partitions at the edges evaluate the model exactly.
+    /// then the prediction and bias are folded in with one in-place pass.
+    /// Linear partitions whose predictions stay below 2^51 take a loop the
+    /// baseline target vectorises (`model::reconstruct_linear_span`);
+    /// partitions of other models evaluate the model, and full partitions
+    /// whose predictions approach the `i64` range use the θ₁-accumulation
+    /// path with the correction list compensating for floating-point drift.
     pub fn decode_range_into(&self, from: usize, to: usize, out: &mut Vec<u64>) {
         assert!(from <= to && to <= self.len, "invalid range {from}..{to}");
         if from == to {
@@ -375,29 +371,45 @@ impl CompressedColumn {
         out.resize(written + (to - from), 0);
         let mut dst = &mut out[written..];
         let mut i = from;
-        let mut part_idx = self.partition_of(from);
+        let mut k = self.table.partition_of(from);
         while i < to {
-            let p = &self.partitions[part_idx];
-            let p_start = p.start as usize;
-            let p_end = p_start + p.len as usize;
-            let seg_from = i;
-            let seg_to = to.min(p_end);
-            let local0 = seg_from - p_start;
-            let (seg, rest) = dst.split_at_mut(seg_to - seg_from);
-            leco_bitpack::unpack_bits_into(
-                &self.payload,
-                p.bit_offset as usize + local0 * p.width as usize,
-                p.width,
-                seg,
-            );
-            if seg_from == p_start && seg_to == p_end {
-                p.model.reconstruct_into(p.bias, &p.corrections, seg);
-            } else {
-                p.model.reconstruct_span_into(p.bias, local0, seg);
-            }
+            let e = &self.table.entries[k];
+            let seg_len = (e.start as usize + e.len as usize).min(to) - i;
+            let (seg, rest) = dst.split_at_mut(seg_len);
+            self.decode_segment(k, i - e.start as usize, seg);
             dst = rest;
-            i = seg_to;
-            part_idx += 1;
+            i += seg_len;
+            k += 1;
+        }
+    }
+
+    /// Decode `seg.len()` values of partition `k` from local position
+    /// `local0` into `seg`.
+    fn decode_segment(&self, k: usize, local0: usize, seg: &mut [u64]) {
+        let e = &self.table.entries[k];
+        leco_bitpack::unpack_bits_into(
+            &self.payload,
+            e.bit_offset as usize + local0 * e.width as usize,
+            e.width,
+            seg,
+        );
+        match e.route {
+            Route::Constant => {
+                for slot in seg.iter_mut() {
+                    *slot = slot.wrapping_add(e.base);
+                }
+            }
+            Route::Linear => {
+                model::reconstruct_linear_span(e.theta0, e.theta1, local0, e.base, seg)
+            }
+            Route::Model => {
+                let p = &self.partitions[k];
+                if local0 == 0 && seg.len() == p.len as usize {
+                    p.model.reconstruct_into(p.bias, &p.corrections, seg);
+                } else {
+                    p.model.reconstruct_span_into(p.bias, local0, seg);
+                }
+            }
         }
     }
 
@@ -433,18 +445,25 @@ impl CompressedColumn {
     /// column *without decoding it*, wherever the models allow: compressed
     /// execution via [`Model::invert_range`].
     ///
-    /// Per partition, monotone models are inverted into a definite interval
-    /// (emitted without touching the payload) plus at most two boundary
-    /// spans inside the correction-slack band, which are bulk-decoded into
-    /// `scratch` and compared.  Partitions with non-invertible models fall
-    /// back to decode-then-filter.  `emit` receives disjoint half-open
-    /// global row ranges of matching rows (not necessarily in positional
-    /// order: a partition's definite interval is emitted before its
-    /// boundary spans).
+    /// Per partition, the value envelope in the read table is checked first,
+    /// like a FOR frame header: a partition whose envelope misses the
+    /// predicate is skipped and one whose envelope lies inside it is emitted
+    /// whole — exactly the cases in which the inversion would return an
+    /// empty or a full candidate with no boundary.  Only partitions
+    /// straddling `lo` or `hi` are inverted: monotone models into a definite
+    /// interval (emitted without touching the payload) plus at most two
+    /// boundary spans inside the correction-slack band, which are
+    /// bulk-decoded into `scratch` and compared.  Partitions with
+    /// non-invertible models fall back to decode-then-filter.  `emit`
+    /// receives disjoint half-open global row ranges of matching rows (not
+    /// necessarily in positional order: a partition's definite interval is
+    /// emitted before its boundary spans).
     ///
     /// The returned [`PushdownCounts`] account for every row exactly once;
     /// the selection is bit-for-bit identical to decode-then-filter (locked
-    /// by `tests/pushdown_differential.rs`).
+    /// by `tests/pushdown_differential.rs`), and selection, emit order and
+    /// counts are identical to `filter_range_pushdown_reference`
+    /// (`crates/core/tests/read_differential.rs`).
     pub fn filter_range_pushdown(
         &self,
         lo: u64,
@@ -458,8 +477,205 @@ impl CompressedColumn {
             counts.rows_skipped_by_model = self.len as u64;
             return counts;
         }
-        for p in &self.partitions {
-            let start = p.start as usize;
+        for (k, e) in self.table.entries.iter().enumerate() {
+            let (start, len) = (e.start as usize, e.len as usize);
+            if e.disjoint_from(lo, hi) {
+                counts.rows_skipped_by_model += len as u64;
+                continue;
+            }
+            if e.contained_in(lo, hi) {
+                emit(start, start + len);
+                counts.rows_skipped_by_model += len as u64;
+                continue;
+            }
+            let p = &self.partitions[k];
+            let mut decode_and_compare = |span: std::ops::Range<usize>, emit: &mut _| {
+                scratch.clear();
+                scratch.resize(span.len(), 0);
+                self.decode_segment(k, span.start, scratch);
+                emit_matching_runs(scratch, start + span.start, lo, hi, emit);
+            };
+            let bands = match (e.route, p.model.monotone()) {
+                // `predict_floor` of a linear-route partition, without the
+                // libm `floor` and the `i128` clamp.
+                (Route::Linear, Some(dir)) => Some(model::invert_monotone(
+                    dir,
+                    len,
+                    p.bias,
+                    p.width,
+                    lo,
+                    hi,
+                    |i| floor_to_i64(e.theta0 + e.theta1 * i as f64) as i128,
+                )),
+                _ => p.model.invert_range(len, p.bias, p.width, lo, hi),
+            };
+            match bands {
+                Some(SlackBands {
+                    candidate,
+                    definite,
+                }) => {
+                    if definite.start < definite.end {
+                        emit(start + definite.start, start + definite.end);
+                    }
+                    let boundary =
+                        (definite.start - candidate.start) + (candidate.end - definite.end);
+                    counts.rows_skipped_by_model += (len - boundary) as u64;
+                    counts.boundary_rows_decoded += boundary as u64;
+                    for span in [candidate.start..definite.start, definite.end..candidate.end] {
+                        if !span.is_empty() {
+                            decode_and_compare(span, &mut emit);
+                        }
+                    }
+                }
+                None => {
+                    counts.rows_decoded_full += len as u64;
+                    decode_and_compare(0..len, &mut emit);
+                }
+            }
+        }
+        counts
+    }
+
+    /// For a sorted column compressed with monotone non-decreasing models,
+    /// return the smallest position whose value is `>= target`, or `len` if
+    /// all values are smaller.  Uses the per-partition model bounds to skip
+    /// partitions entirely (the computation-pruning idea behind the filter
+    /// speed-ups of §5.1.1), then binary-searches within the candidate
+    /// partition using random access.
+    pub fn lower_bound_sorted(&self, target: u64) -> usize {
+        if self.len == 0 {
+            return 0;
+        }
+        let entries = &self.table.entries;
+        // Binary search over partitions by their first value.
+        let mut lo = 0usize;
+        let mut hi = entries.len();
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            let first = self.get(entries[mid].start as usize);
+            if first <= target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        // Binary search within partition `lo` (and it may spill into later
+        // partitions if duplicates straddle the boundary, handled by the
+        // final forward scan which is O(1) amortised for sorted data).
+        let e = &entries[lo];
+        let (mut a, mut b) = (e.start as usize, (e.start + e.len as u64) as usize);
+        while a < b {
+            let mid = (a + b) / 2;
+            if self.get(mid) < target {
+                a = mid + 1;
+            } else {
+                b = mid;
+            }
+        }
+        a
+    }
+
+    // -- reference routes ---------------------------------------------------
+    //
+    // Test support: the three read paths as they were before the read table
+    // (interpolate-then-walk partition search, `predict_floor` and `i128`
+    // arithmetic per value, `Model::invert_range` for every partition).
+    // `crates/core/tests/read_differential.rs` holds the table routes to
+    // them; they read only the derived starts and bit offsets from the
+    // table.
+
+    /// Reference partition search: interpolate, then walk.
+    fn partition_of_reference(&self, i: usize) -> usize {
+        let entries = &self.table.entries;
+        if let Some(l) = self.fixed_len {
+            return (i / l).min(entries.len() - 1);
+        }
+        let n = entries.len();
+        let mut guess = ((i as f64 / self.len as f64) * n as f64) as usize;
+        if guess >= n {
+            guess = n - 1;
+        }
+        while entries[guess].start as usize > i {
+            guess -= 1;
+        }
+        while guess + 1 < n && entries[guess + 1].start as usize <= i {
+            guess += 1;
+        }
+        guess
+    }
+
+    /// Test support: [`Self::get`] before the read table.
+    #[doc(hidden)]
+    pub fn get_reference(&self, i: usize) -> u64 {
+        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        let k = self.partition_of_reference(i);
+        let (p, e) = (&self.partitions[k], &self.table.entries[k]);
+        let local = i - e.start as usize;
+        let packed = if p.width == 0 {
+            0
+        } else {
+            read_bits(
+                &self.payload,
+                e.bit_offset as usize + local * p.width as usize,
+                p.width,
+            )
+        };
+        (p.model.predict_floor(local) + p.bias + packed as i128) as u64
+    }
+
+    /// Test support: [`Self::decode_range_into`] before the read table.
+    #[doc(hidden)]
+    pub fn decode_range_into_reference(&self, from: usize, to: usize, out: &mut Vec<u64>) {
+        assert!(from <= to && to <= self.len, "invalid range {from}..{to}");
+        if from == to {
+            return;
+        }
+        let written = out.len();
+        out.resize(written + (to - from), 0);
+        let mut dst = &mut out[written..];
+        let mut i = from;
+        let mut part_idx = self.partition_of_reference(from);
+        while i < to {
+            let (p, e) = (&self.partitions[part_idx], &self.table.entries[part_idx]);
+            let p_start = e.start as usize;
+            let p_end = p_start + p.len as usize;
+            let seg_from = i;
+            let seg_to = to.min(p_end);
+            let local0 = seg_from - p_start;
+            let (seg, rest) = dst.split_at_mut(seg_to - seg_from);
+            leco_bitpack::unpack_bits_into(
+                &self.payload,
+                e.bit_offset as usize + local0 * p.width as usize,
+                p.width,
+                seg,
+            );
+            if seg_from == p_start && seg_to == p_end {
+                p.model.reconstruct_into(p.bias, &p.corrections, seg);
+            } else {
+                p.model.reconstruct_span_into(p.bias, local0, seg);
+            }
+            dst = rest;
+            i = seg_to;
+            part_idx += 1;
+        }
+    }
+
+    /// Test support: [`Self::filter_range_pushdown`] before the read table.
+    #[doc(hidden)]
+    pub fn filter_range_pushdown_reference(
+        &self,
+        lo: u64,
+        hi: u64,
+        scratch: &mut Vec<u64>,
+        mut emit: impl FnMut(usize, usize),
+    ) -> PushdownCounts {
+        let mut counts = PushdownCounts::default();
+        if lo > hi {
+            counts.rows_skipped_by_model = self.len as u64;
+            return counts;
+        }
+        for (p, e) in self.partitions.iter().zip(&self.table.entries) {
+            let start = e.start as usize;
             let len = p.len as usize;
             match p.model.invert_range(len, p.bias, p.width, lo, hi) {
                 Some(SlackBands {
@@ -478,57 +694,23 @@ impl CompressedColumn {
                             continue;
                         }
                         scratch.clear();
-                        self.decode_range_into(start + span.start, start + span.end, scratch);
+                        self.decode_range_into_reference(
+                            start + span.start,
+                            start + span.end,
+                            scratch,
+                        );
                         emit_matching_runs(scratch, start + span.start, lo, hi, &mut emit);
                     }
                 }
                 None => {
                     counts.rows_decoded_full += len as u64;
                     scratch.clear();
-                    self.decode_range_into(start, start + len, scratch);
+                    self.decode_range_into_reference(start, start + len, scratch);
                     emit_matching_runs(scratch, start, lo, hi, &mut emit);
                 }
             }
         }
         counts
-    }
-
-    /// For a sorted column compressed with monotone non-decreasing models,
-    /// return the smallest position whose value is `>= target`, or `len` if
-    /// all values are smaller.  Uses the per-partition model bounds to skip
-    /// partitions entirely (the computation-pruning idea behind the filter
-    /// speed-ups of §5.1.1), then binary-searches within the candidate
-    /// partition using random access.
-    pub fn lower_bound_sorted(&self, target: u64) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        // Binary search over partitions by their first value.
-        let mut lo = 0usize;
-        let mut hi = self.partitions.len();
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let first = self.get(self.partitions[mid].start as usize);
-            if first <= target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        // Binary search within partition `lo` (and it may spill into later
-        // partitions if duplicates straddle the boundary, handled by the
-        // final forward scan which is O(1) amortised for sorted data).
-        let p = &self.partitions[lo];
-        let (mut a, mut b) = (p.start as usize, (p.start + p.len as u64) as usize);
-        while a < b {
-            let mid = (a + b) / 2;
-            if self.get(mid) < target {
-                a = mid + 1;
-            } else {
-                b = mid;
-            }
-        }
-        a
     }
 }
 

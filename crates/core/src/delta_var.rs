@@ -9,6 +9,7 @@
 //! uses exact partition costs.
 
 use crate::partition::Partition;
+use crate::read_table::BucketIndex;
 use leco_bitpack::{bits_for, stream::read_bits, zigzag_decode, zigzag_encode, BitWriter};
 
 /// Split aggressiveness: inclusion cost threshold as a fraction of the model
@@ -32,6 +33,8 @@ pub struct DeltaVarColumn {
     payload: Vec<u64>,
     payload_bits: usize,
     len: usize,
+    /// Position → partition lookup (derived from the partition starts).
+    index: BucketIndex,
 }
 
 /// Width in bits of the largest zigzag-coded gap in `values`.
@@ -122,6 +125,7 @@ impl DeltaVarColumn {
                 payload: Vec::new(),
                 payload_bits: 0,
                 len: 0,
+                index: BucketIndex::default(),
             };
         }
         let parts = merge_phase(values, split_phase(values, tau.clamp(0.0, 1.0)));
@@ -143,11 +147,15 @@ impl DeltaVarColumn {
             });
         }
         let (payload, payload_bits) = writer.finish();
+        let index = BucketIndex::new(partitions.len(), values.len() as u64, |k| {
+            partitions[k].start
+        });
         Self {
             partitions,
             payload,
             payload_bits,
             len: values.len(),
+            index,
         }
     }
 
@@ -177,26 +185,12 @@ impl DeltaVarColumn {
         header + leco_bitpack::div_ceil(self.payload_bits, 8)
     }
 
-    fn partition_of(&self, i: usize) -> usize {
-        let n = self.partitions.len();
-        let mut guess = ((i as f64 / self.len as f64) * n as f64) as usize;
-        if guess >= n {
-            guess = n - 1;
-        }
-        while self.partitions[guess].start as usize > i {
-            guess -= 1;
-        }
-        while guess + 1 < n && self.partitions[guess + 1].start as usize <= i {
-            guess += 1;
-        }
-        guess
-    }
-
     /// Random access: requires sequentially decoding the partition prefix
     /// (the fundamental cost of Delta encoding, §4.3.2).
     pub fn get(&self, i: usize) -> u64 {
         assert!(i < self.len, "index {i} out of bounds");
-        let p = &self.partitions[self.partition_of(i)];
+        let k = self.index.locate(i, |k| self.partitions[k].start as usize);
+        let p = &self.partitions[k];
         let local = i - p.start as usize;
         let mut current = p.first;
         let mut bit_pos = p.bit_offset as usize;
@@ -313,6 +307,35 @@ mod tests {
         assert_eq!(c.decode_all(), values);
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(c.get(i), v);
+        }
+    }
+
+    /// Every index of `get` against the bulk decode, over skewed partition
+    /// mixes: long runs next to bursts of one- to three-value partitions.
+    #[test]
+    fn get_equals_decode_all_at_every_index() {
+        // Runs of gap-1 values separated by 2^50 jumps: a jump costs more
+        // than a partition header, so every run keeps its own partition.
+        let (mut skewed, mut v) = (Vec::new(), 0u64);
+        for block in 0..400u64 {
+            let run = [1, 1, 2, 3, 1, 700][block as usize % 6];
+            v += 1 << 50;
+            for k in 0..run {
+                skewed.push(v + k);
+            }
+        }
+        for values in [skewed, vec![9u64; 5_000]] {
+            let c = DeltaVarColumn::encode(&values);
+            let decoded = c.decode_all();
+            assert_eq!(decoded, values);
+            for (i, &want) in decoded.iter().enumerate() {
+                assert_eq!(
+                    c.get(i),
+                    want,
+                    "index {i} of {} partitions",
+                    c.num_partitions()
+                );
+            }
         }
     }
 

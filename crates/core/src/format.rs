@@ -20,10 +20,15 @@
 //! Partition start positions and payload bit offsets are *derivable* (prefix
 //! sums of the partition lengths and `len·width` products) and therefore not
 //! stored, matching the paper's accounting where only the model, the bit
-//! length and the packed deltas are charged.
+//! length and the packed deltas are charged.  [`from_bytes`] derives them,
+//! with the rest of the column's read table (`crate::read_table`), after
+//! validating every count, length and position against the buffer — a
+//! hostile header is a [`FormatError::Corrupt`], never a panic or an
+//! allocation the input cannot back.
 
 use crate::column::{CompressedColumn, PartitionMeta};
 use crate::model::{Model, SineTerm};
+use crate::read_table::ReadTable;
 
 const MAGIC: &[u8; 4] = b"LECO";
 const VERSION: u8 = 2;
@@ -118,6 +123,16 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, FormatError> {
         let b = self.bytes(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    }
+
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// A varint that must fit `T` (a count, length or position).
+    fn varint_as<T: TryFrom<u128>>(&mut self, what: &'static str) -> Result<T, FormatError> {
+        T::try_from(self.varint()?).map_err(|_| FormatError::Corrupt(what))
     }
 
     fn varint(&mut self) -> Result<u128, FormatError> {
@@ -273,9 +288,8 @@ pub fn to_bytes(col: &CompressedColumn) -> Vec<u8> {
         write_varint(&mut out, zigzag_i128(p.bias));
         out.push(p.width);
         // v2: the correction block exists only when the θ₁-accumulation
-        // fallback decoder will consult it.  (Columns loaded from v1 buffers
-        // may carry vestigial correction lists for fast-path partitions;
-        // re-serializing sheds them.)
+        // fallback decoder will consult it.  (The vestigial lists of v1
+        // buffers are dropped on load.)
         if p.model.needs_corrections(p.len as usize) {
             write_varint(&mut out, p.corrections.len() as u128);
             let mut prev = 0u32;
@@ -331,18 +345,34 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompressedColumn, FormatError> {
     }
     let flags = r.u8()?;
     let value_width = r.u8()? as usize;
-    let len = r.varint()? as usize;
-    let num_partitions = r.varint()? as usize;
+    let len: usize = r.varint_as("column length exceeds usize")?;
+    let num_partitions: usize = r.varint_as("partition count exceeds usize")?;
     let fixed_len = if flags & FLAG_FIXED != 0 {
-        Some(r.varint()? as usize)
+        let l: usize = r.varint_as("fixed partition length exceeds usize")?;
+        if l == 0 {
+            return Err(FormatError::Corrupt("fixed partition length is zero"));
+        }
+        Some(l)
     } else {
         None
     };
-    let mut partitions = Vec::with_capacity(num_partitions);
-    let mut start = 0u64;
-    let mut bit_offset = 0u64;
-    for _ in 0..num_partitions {
-        let plen = r.varint()? as u32;
+    // Every capacity below is capped by the bytes left: each partition
+    // record, correction and payload word takes at least one byte of input,
+    // so a hostile count fails on the buffer's end, not in the allocator.
+    let mut partitions = Vec::with_capacity(num_partitions.min(r.remaining()));
+    let (mut start, mut bit_offset) = (0u64, 0u64);
+    for j in 0..num_partitions {
+        let plen: u32 = r.varint_as("partition length exceeds u32")?;
+        if let Some(l) = fixed_len {
+            // Every partition but the last holds exactly `l` values, the
+            // last at most `l`: what `get`'s division by `l` relies on.
+            let last = j + 1 == num_partitions;
+            if plen as usize > l || (!last && plen as usize != l) {
+                return Err(FormatError::Corrupt(
+                    "partition length disagrees with fixed_len",
+                ));
+            }
+        }
         let model = read_model(&mut r)?;
         let bias = unzigzag_i128(r.varint()?);
         let width = r.u8()?;
@@ -351,47 +381,61 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompressedColumn, FormatError> {
         }
         // v1 stores the correction block for every partition; v2 only when
         // the accumulation fallback decoder will read it.
-        let has_corrections = version == 1 || model.needs_corrections(plen as usize);
+        let needs_corrections = model.needs_corrections(plen as usize);
         let mut corrections = Vec::new();
-        if has_corrections {
-            let n_corr = r.varint()? as usize;
+        if version == 1 || needs_corrections {
+            let n_corr: usize = r.varint_as("too many corrections")?;
             if n_corr > plen as usize {
                 return Err(FormatError::Corrupt("too many corrections"));
             }
-            corrections.reserve_exact(n_corr);
+            corrections.reserve_exact(n_corr.min(r.remaining()));
             let mut prev = 0u32;
             for _ in 0..n_corr {
-                prev += r.varint()? as u32;
+                let gap: u32 = r.varint_as("correction position out of range")?;
+                prev = prev
+                    .checked_add(gap)
+                    .filter(|&local| local < plen)
+                    .ok_or(FormatError::Corrupt("correction position out of range"))?;
                 corrections.push(prev);
+            }
+            if !needs_corrections {
+                // A vestigial v1 list the decoder never reads.
+                corrections = Vec::new();
             }
         }
         partitions.push(PartitionMeta {
-            start,
             len: plen,
             model,
             bias,
             width,
-            bit_offset,
             corrections,
         });
         start += plen as u64;
-        bit_offset += plen as u64 * width as u64;
+        bit_offset = bit_offset
+            .checked_add(plen as u64 * width as u64)
+            .ok_or(FormatError::Corrupt("payload bit count overflows"))?;
     }
     if start != len as u64 {
         return Err(FormatError::Corrupt(
             "partition lengths do not sum to column length",
         ));
     }
-    let payload_bits = r.varint()? as usize;
-    if payload_bits != bit_offset as usize {
+    let payload_bits: u64 = r.varint_as("payload bit count mismatch")?;
+    if payload_bits != bit_offset {
         return Err(FormatError::Corrupt("payload bit count mismatch"));
     }
+    let payload_bits =
+        usize::try_from(payload_bits).map_err(|_| FormatError::Corrupt("payload too large"))?;
     let n_words = leco_bitpack::div_ceil(payload_bits, 64);
+    if n_words > r.remaining() / 8 {
+        return Err(FormatError::Corrupt("unexpected end of buffer"));
+    }
     let mut payload = Vec::with_capacity(n_words);
     for _ in 0..n_words {
         payload.push(r.u64()?);
     }
     let mut col = CompressedColumn {
+        table: ReadTable::derive(&partitions, len, fixed_len),
         partitions,
         payload,
         payload_bits,
@@ -575,6 +619,158 @@ mod tests {
         for v in [0i128, -1, 1, i128::MAX, i128::MIN, i64::MAX as i128 * 3] {
             assert_eq!(unzigzag_i128(zigzag_i128(v)), v);
         }
+    }
+
+    /// A version-2 header — `len`, `num_partitions` and, when `Some`, the
+    /// FIXED flag with `fixed_len` — followed by `rest`.
+    fn header(len: u128, parts: u128, fixed_len: Option<u128>, rest: &[u8]) -> Vec<u8> {
+        let flags = if fixed_len.is_some() { FLAG_FIXED } else { 0 };
+        let mut out = MAGIC.to_vec();
+        out.extend([VERSION, flags, 8]);
+        write_varint(&mut out, len);
+        write_varint(&mut out, parts);
+        if let Some(l) = fixed_len {
+            write_varint(&mut out, l);
+        }
+        out.extend_from_slice(rest);
+        out
+    }
+
+    /// `col`'s bytes with the header's `fixed_len` replaced.
+    fn reheaded(col: &CompressedColumn, fixed_len: u128) -> Vec<u8> {
+        let bytes = col.to_bytes();
+        let mut r = Reader::new(&bytes);
+        r.bytes(7).unwrap();
+        let (len, parts) = (r.varint().unwrap(), r.varint().unwrap());
+        r.varint().unwrap();
+        header(len, parts, Some(fixed_len), &bytes[r.pos..])
+    }
+
+    /// One partition record: `plen` values of `model` at width `width`,
+    /// bias 0, with `corrections` (gap varints) as its correction block.
+    fn partition_record(plen: u128, model: &Model, width: u8, corrections: &[u128]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, plen);
+        write_model(&mut out, model);
+        write_varint(&mut out, zigzag_i128(0));
+        out.push(width);
+        if !corrections.is_empty() {
+            write_varint(&mut out, corrections.len() as u128);
+            for &gap in corrections {
+                write_varint(&mut out, gap);
+            }
+        }
+        out
+    }
+
+    /// A linear model off the fast path, so its correction block is present.
+    const WIDE_LINEAR: Model = Model::Linear {
+        theta0: 1e19,
+        theta1: 0.0,
+    };
+
+    fn leco_fix_100() -> CompressedColumn {
+        let values: Vec<u64> = (0..1_000u64).map(|i| 7 * i + i % 13).collect();
+        LecoCompressor::new(LecoConfig::leco_fix_with_len(100)).compress(&values)
+    }
+
+    #[test]
+    fn rejects_zero_fixed_len() {
+        assert_eq!(
+            from_bytes(&reheaded(&leco_fix_100(), 0)).unwrap_err(),
+            FormatError::Corrupt("fixed partition length is zero")
+        );
+    }
+
+    #[test]
+    fn rejects_fixed_len_that_disagrees_with_partition_lengths() {
+        let col = leco_fix_100();
+        // Re-headed to its own length it still loads, and reads right.
+        let same = from_bytes(&reheaded(&col, 100)).unwrap();
+        assert_eq!(same.decode_all(), col.decode_all());
+        assert_eq!(same.get(999), col.get(999));
+        // 50 once made 150 of 1 000 `get`s silently wrong; 200 leaves
+        // partitions but the last shorter than the header claims; 99 makes
+        // the last partition longer.
+        for l in [50, 200, 99] {
+            assert_eq!(
+                from_bytes(&reheaded(&col, l)).unwrap_err(),
+                FormatError::Corrupt("partition length disagrees with fixed_len"),
+                "fixed_len {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_partition_counts_the_buffer_cannot_hold() {
+        // 2^56 partitions once went straight to `Vec::with_capacity`.
+        assert_eq!(
+            from_bytes(&header(1, 1 << 56, None, &[])).unwrap_err(),
+            FormatError::Corrupt("unexpected end of buffer")
+        );
+        assert_eq!(
+            from_bytes(&header(1, 1 << 70, None, &[])).unwrap_err(),
+            FormatError::Corrupt("partition count exceeds usize")
+        );
+    }
+
+    #[test]
+    fn rejects_correction_positions_that_overflow_or_leave_the_partition() {
+        let column = |gaps: &[u128]| {
+            let mut bytes = header(3, 1, None, &partition_record(3, &WIDE_LINEAR, 0, gaps));
+            write_varint(&mut bytes, 0); // payload_bits
+            from_bytes(&bytes)
+        };
+        let ok = column(&[0, 2]).unwrap();
+        assert_eq!(ok.partitions[0].corrections, vec![0, 2]);
+        assert_eq!(ok.decode_all(), vec![10_000_000_000_000_000_000; 3]);
+        // `prev += gap` once overflowed (a panic under the test profile),
+        // `gap as u32` truncated 2^32 to 0, and positions were not checked
+        // against the partition length.
+        for gaps in [&[0, u32::MAX as u128][..], &[1 << 32], &[3], &[1, 1, 1]] {
+            assert_eq!(
+                column(gaps).unwrap_err(),
+                FormatError::Corrupt("correction position out of range"),
+                "gaps {gaps:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_partition_lengths_beyond_u32() {
+        // `plen as u32` once truncated 2^32 + 3 to 3 partition values.
+        let constant = Model::Constant { value: 1.0 };
+        let mut bytes = header(
+            3,
+            1,
+            None,
+            &partition_record((1 << 32) + 3, &constant, 0, &[]),
+        );
+        write_varint(&mut bytes, 0);
+        assert_eq!(
+            from_bytes(&bytes).unwrap_err(),
+            FormatError::Corrupt("partition length exceeds u32")
+        );
+    }
+
+    #[test]
+    fn rejects_payloads_and_correction_lists_the_buffer_cannot_hold() {
+        // 2^32 − 1 values at 64 bits: a 32 GiB payload claimed by a header.
+        let plen = u32::MAX as u128;
+        let constant = Model::Constant { value: 1.0 };
+        let mut bytes = header(plen, 1, None, &partition_record(plen, &constant, 64, &[]));
+        write_varint(&mut bytes, plen * 64);
+        assert_eq!(
+            from_bytes(&bytes).unwrap_err(),
+            FormatError::Corrupt("unexpected end of buffer")
+        );
+        // A correction block claiming 2^32 − 1 positions (16 GiB of u32s).
+        let mut record = partition_record(plen, &WIDE_LINEAR, 0, &[]);
+        write_varint(&mut record, plen);
+        assert_eq!(
+            from_bytes(&header(plen, 1, None, &record)).unwrap_err(),
+            FormatError::Corrupt("unexpected end of buffer")
+        );
     }
 
     #[test]

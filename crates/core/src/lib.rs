@@ -20,7 +20,9 @@
 //!   pair: a self-describing
 //!   storage format with O(1)-ish random access and a fused word-parallel
 //!   sequential decoder (bulk delta unpack + in-place model reconstruction;
-//!   §3.3's θ₁-accumulation survives as the wide-value fallback).  The byte
+//!   §3.3's θ₁-accumulation survives as the wide-value fallback).  Every
+//!   read path goes through a per-partition read table derived at load
+//!   (start, bit offset, prediction route, value envelope).  The byte
 //!   layout is specified in `docs/FORMAT.md` at the repository root and
 //!   enforced by `tests/format_spec.rs`.
 //! * [`string`] — the order-preserving string extension (§3.4).
@@ -52,6 +54,7 @@ pub mod delta_var;
 pub mod format;
 pub mod model;
 pub mod partition;
+mod read_table;
 pub mod regressor;
 pub mod string;
 pub mod value;

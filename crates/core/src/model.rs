@@ -157,17 +157,143 @@ pub(crate) fn floor_to_i64(x: f64) -> i64 {
     t - ((t as f64 > x) as i64)
 }
 
-/// The shared linear fast loop: `out[k] = floor(θ0 + θ1·(local0+k)) + bias +
-/// out[k]` in wrapping u64 arithmetic.  Callers must have established
-/// [`linear_fits_i64`] over the span first.  `#[inline(always)]` so both the
-/// full-partition and span decoders get a monomorphic, call-free inner loop.
+/// The body of [`Model::invert_range`] for a `predict_floor` given as `pf`,
+/// monotone in direction `dir` over `0..len`.  The read table passes the
+/// `floor_to_i64` evaluation of linear partitions that pass
+/// [`linear_fits_i64`], which is `predict_floor` without the libm call.
+pub(crate) fn invert_monotone(
+    dir: Monotone,
+    len: usize,
+    bias: i128,
+    width: u8,
+    lo: u64,
+    hi: u64,
+    pf: impl Fn(usize) -> i128,
+) -> SlackBands {
+    if len == 0 || lo > hi {
+        return SlackBands {
+            candidate: 0..0,
+            definite: 0..0,
+        };
+    }
+    let slack: i128 = if width >= 64 {
+        u64::MAX as i128
+    } else {
+        ((1u64 << width) - 1) as i128
+    };
+    // Thresholds in prediction space.  Saturating arithmetic is pure
+    // belt-and-braces: a bias anywhere near i128's edges cannot come out
+    // of the encoder (the delta subtraction would have overflowed first).
+    let lo_t = (lo as i128).saturating_sub(bias);
+    let hi_t = (hi as i128).saturating_sub(bias);
+    let (candidate, definite) = match dir {
+        Monotone::NonDecreasing => {
+            // first_ge(t): first row with predict_floor >= t.
+            let first_ge = |t: i128| partition_point(len, |i| pf(i) < t);
+            let candidate = first_ge(lo_t.saturating_sub(slack))..first_ge(hi_t.saturating_add(1));
+            let definite = first_ge(lo_t)..first_ge(hi_t.saturating_sub(slack).saturating_add(1));
+            (candidate, definite)
+        }
+        Monotone::NonIncreasing => {
+            // predict_floor is non-increasing: `{i : pf(i) <= t}` is a
+            // suffix and `{i : pf(i) >= t}` a prefix.
+            let first_le = |t: i128| partition_point(len, |i| pf(i) > t);
+            let first_lt = |t: i128| partition_point(len, |i| pf(i) >= t);
+            let candidate = first_le(hi_t)..first_lt(lo_t.saturating_sub(slack));
+            let definite = first_le(hi_t.saturating_sub(slack))..first_lt(lo_t);
+            (candidate, definite)
+        }
+    };
+    // Normalise: candidate is non-empty-ordered by construction; clamp
+    // definite inside it (an empty definite collapses to a point, leaving
+    // the whole candidate as boundary).
+    debug_assert!(candidate.start <= candidate.end);
+    let def_start = definite.start.clamp(candidate.start, candidate.end);
+    let def_end = definite.end.clamp(def_start, candidate.end);
+    SlackBands {
+        candidate,
+        definite: def_start..def_end,
+    }
+}
+
+/// The shared linear loop: `out[k] = floor(θ0 + θ1·(local0+k)) + base +
+/// out[k]` in wrapping u64 arithmetic, one saturating `f64 → i64` cast per
+/// value.  Callers must have established [`linear_fits_i64`] over the span
+/// first.  `#[inline(always)]` so every decoder gets a monomorphic, call-free
+/// inner loop.  This is the fallback of [`reconstruct_linear_span`] and its
+/// oracle ([`reconstruct_linear_span_reference`]).
 #[inline(always)]
-fn linear_reconstruct_fill(theta0: f64, theta1: f64, local0: usize, bias: i128, out: &mut [u64]) {
-    let base = bias as u64;
+fn linear_reconstruct_fill(theta0: f64, theta1: f64, local0: usize, base: u64, out: &mut [u64]) {
     for (k, slot) in out.iter_mut().enumerate() {
         let p = floor_to_i64(theta0 + theta1 * (local0 + k) as f64);
         *slot = (p as u64).wrapping_add(base).wrapping_add(*slot);
     }
+}
+
+/// `2^52`: the `f64` binade whose ulp is exactly 1.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+/// `1.5 · 2^52`: adding it to `|y| < 2^51` lands in `[2^52, 2^53)` and rounds
+/// `y` to an integer held in the low mantissa bits.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+/// Largest prediction magnitude the magic-number floor handles.
+const MAGIC_LIMIT: f64 = 2_251_799_813_685_248.0; // 2^51
+
+/// [`linear_reconstruct_fill`] for a span of a partition that passes
+/// [`linear_fits_i64`], bit-identical to it.
+///
+/// When every prediction of the span stays within `|y| < 2^51` (checked at
+/// the two endpoints — the evaluated line is monotone in `k`, as in
+/// [`linear_fits_i64`]) the floor is taken without any `f64 → i64` cast, in
+/// operations the baseline SSE2 target has in vector form:
+///
+/// * `x = bits⁻¹(bits(2^52) + k) − 2^52` is `k as f64` exactly (`k < 2^52`);
+/// * `s = y + 1.5·2^52` rounds `y` to the nearest integer `r = s − 1.5·2^52`,
+///   held in the low mantissa bits of `s`;
+/// * `floor(y) = (bits(s) − bits(1.5·2^52)) − (r > y)`.
+///
+/// `y = θ0 + θ1·x` is the very expression `Model::predict` evaluates, so the
+/// floor equals `floor_to_i64(y)`.  Spans outside the magic range take the
+/// scalar loop.
+#[doc(hidden)]
+#[inline]
+pub fn reconstruct_linear_span(
+    theta0: f64,
+    theta1: f64,
+    local0: usize,
+    base: u64,
+    out: &mut [u64],
+) {
+    let Some(last) = (local0 + out.len()).checked_sub(1) else {
+        return;
+    };
+    let first_y = theta0 + theta1 * local0 as f64;
+    let last_y = theta0 + theta1 * last as f64;
+    if !(first_y.abs() < MAGIC_LIMIT && last_y.abs() < MAGIC_LIMIT && (last as f64) < TWO_52) {
+        linear_reconstruct_fill(theta0, theta1, local0, base, out);
+        return;
+    }
+    let (two52, magic) = (TWO_52.to_bits(), ROUND_MAGIC.to_bits());
+    for (k, slot) in out.iter_mut().enumerate() {
+        let x = f64::from_bits(two52 + (local0 + k) as u64) - TWO_52;
+        let y = theta0 + theta1 * x;
+        let s = y + ROUND_MAGIC;
+        let r = s - ROUND_MAGIC;
+        let floor = s.to_bits().wrapping_sub(magic).wrapping_sub((r > y) as u64);
+        *slot = floor.wrapping_add(base).wrapping_add(*slot);
+    }
+}
+
+/// Test support: the scalar `floor_to_i64` loop [`reconstruct_linear_span`]
+/// is held to (same contract: [`linear_fits_i64`] over the span).
+#[doc(hidden)]
+pub fn reconstruct_linear_span_reference(
+    theta0: f64,
+    theta1: f64,
+    local0: usize,
+    base: u64,
+    out: &mut [u64],
+) {
+    linear_reconstruct_fill(theta0, theta1, local0, base, out);
 }
 
 impl Model {
@@ -247,7 +373,7 @@ impl Model {
                 // (which only patches the *accumulation* shortcut) is not
                 // consulted at all.  Unlike `acc += θ1`, every element is
                 // independent, so the loop pipelines/vectorises.
-                linear_reconstruct_fill(*theta0, *theta1, 0, bias, out);
+                linear_reconstruct_fill(*theta0, *theta1, 0, bias as u64, out);
             } else {
                 let mut acc = *theta0;
                 let mut corr = corrections.iter().peekable();
@@ -290,7 +416,7 @@ impl Model {
             Model::Linear { theta0, theta1 } => {
                 let t0 = theta0 + theta1 * local0 as f64;
                 if linear_fits_i64(t0, *theta1, out.len()) {
-                    linear_reconstruct_fill(*theta0, *theta1, local0, bias, out);
+                    linear_reconstruct_fill(*theta0, *theta1, local0, bias as u64, out);
                 } else {
                     for (k, slot) in out.iter_mut().enumerate() {
                         *slot = (self.predict_floor(local0 + k) + bias + *slot as i128) as u64;
@@ -364,52 +490,9 @@ impl Model {
         hi: u64,
     ) -> Option<SlackBands> {
         let dir = self.monotone()?;
-        if len == 0 || lo > hi {
-            return Some(SlackBands {
-                candidate: 0..0,
-                definite: 0..0,
-            });
-        }
-        let slack: i128 = if width >= 64 {
-            u64::MAX as i128
-        } else {
-            ((1u64 << width) - 1) as i128
-        };
-        // Thresholds in prediction space.  Saturating arithmetic is pure
-        // belt-and-braces: a bias anywhere near i128's edges cannot come out
-        // of the encoder (the delta subtraction would have overflowed first).
-        let lo_t = (lo as i128).saturating_sub(bias);
-        let hi_t = (hi as i128).saturating_sub(bias);
-        let (candidate, definite) = match dir {
-            Monotone::NonDecreasing => {
-                // first_ge(t): first row with predict_floor >= t.
-                let first_ge = |t: i128| partition_point(len, |i| self.predict_floor(i) < t);
-                let candidate =
-                    first_ge(lo_t.saturating_sub(slack))..first_ge(hi_t.saturating_add(1));
-                let definite =
-                    first_ge(lo_t)..first_ge(hi_t.saturating_sub(slack).saturating_add(1));
-                (candidate, definite)
-            }
-            Monotone::NonIncreasing => {
-                // predict_floor is non-increasing: `{i : pf(i) <= t}` is a
-                // suffix and `{i : pf(i) >= t}` a prefix.
-                let first_le = |t: i128| partition_point(len, |i| self.predict_floor(i) > t);
-                let first_lt = |t: i128| partition_point(len, |i| self.predict_floor(i) >= t);
-                let candidate = first_le(hi_t)..first_lt(lo_t.saturating_sub(slack));
-                let definite = first_le(hi_t.saturating_sub(slack))..first_lt(lo_t);
-                (candidate, definite)
-            }
-        };
-        // Normalise: candidate is non-empty-ordered by construction; clamp
-        // definite inside it (an empty definite collapses to a point, leaving
-        // the whole candidate as boundary).
-        debug_assert!(candidate.start <= candidate.end);
-        let def_start = definite.start.clamp(candidate.start, candidate.end);
-        let def_end = definite.end.clamp(def_start, candidate.end);
-        Some(SlackBands {
-            candidate,
-            definite: def_start..def_end,
-        })
+        Some(invert_monotone(dir, len, bias, width, lo, hi, |i| {
+            self.predict_floor(i)
+        }))
     }
 
     /// True when the decoder's θ₁-accumulation fallback path is taken for a
