@@ -3,6 +3,12 @@
 //! Mirrors the role of RocksDB's block cache: Figure 22 varies its capacity
 //! to show how a smaller index footprint translates into a better data-block
 //! hit ratio.
+//!
+//! Recency is a doubly-linked list threaded through a slab of entries and
+//! indexed by the key map, so a hit, an insert and each eviction are O(1).
+//! The list is a total order by last access, which makes the victims exactly
+//! those of a least-`last_used` scan (the test module keeps that scan as a
+//! reference model and checks the two against each other).
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -11,19 +17,74 @@ use std::sync::Arc;
 /// Key identifying a cached block: (sstable id, byte offset of the block).
 pub type BlockKey = (u32, u64);
 
+/// End-of-list marker for slab links.
+const NIL: usize = usize::MAX;
+
 struct Entry {
-    data: Arc<Vec<u8>>,
-    /// Monotonic tick of the last access.
-    last_used: u64,
+    key: BlockKey,
+    /// `None` while the slot sits on the free list.
+    data: Option<Arc<Vec<u8>>>,
+    /// Neighbour towards the most recently used end.
+    newer: usize,
+    /// Neighbour towards the least recently used end.
+    older: usize,
 }
 
 struct Inner {
-    map: HashMap<BlockKey, Entry>,
+    map: HashMap<BlockKey, usize>,
+    slab: Vec<Entry>,
+    free: Vec<usize>,
+    /// Most recently used entry.
+    newest: usize,
+    /// Least recently used entry: the next victim.
+    oldest: usize,
     used_bytes: usize,
-    tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+impl Inner {
+    fn unlink(&mut self, i: usize) {
+        let (newer, older) = (self.slab[i].newer, self.slab[i].older);
+        match newer {
+            NIL => self.newest = older,
+            n => self.slab[n].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slab[o].newer = newer,
+        }
+    }
+
+    fn push_newest(&mut self, i: usize) {
+        self.slab[i].newer = NIL;
+        self.slab[i].older = self.newest;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slab[n].newer = i,
+        }
+        self.newest = i;
+    }
+
+    fn alloc(&mut self, key: BlockKey, data: Arc<Vec<u8>>) -> usize {
+        let entry = Entry {
+            key,
+            data: Some(data),
+            newer: NIL,
+            older: NIL,
+        };
+        match self.free.pop() {
+            Some(i) => {
+                self.slab[i] = entry;
+                i
+            }
+            None => {
+                self.slab.push(entry);
+                self.slab.len() - 1
+            }
+        }
+    }
 }
 
 /// Thread-safe LRU cache with a byte budget.
@@ -38,8 +99,11 @@ impl BlockCache {
         Self {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                slab: Vec::new(),
+                free: Vec::new(),
+                newest: NIL,
+                oldest: NIL,
                 used_bytes: 0,
-                tick: 0,
                 hits: 0,
                 misses: 0,
                 evictions: 0,
@@ -56,15 +120,13 @@ impl BlockCache {
     /// Look up a block, updating recency and hit statistics.
     pub fn get(&self, key: &BlockKey) -> Option<Arc<Vec<u8>>> {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let data = entry.data.clone();
+        match inner.map.get(key).copied() {
+            Some(i) => {
+                inner.unlink(i);
+                inner.push_newest(i);
                 inner.hits += 1;
                 leco_obs::counter!("kv.cache.hits").inc();
-                Some(data)
+                inner.slab[i].data.clone()
             }
             None => {
                 inner.misses += 1;
@@ -82,31 +144,33 @@ impl BlockCache {
             return;
         }
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.insert(
-            key,
-            Entry {
-                data,
-                last_used: tick,
-            },
-        ) {
-            inner.used_bytes -= old.data.len();
+        match inner.map.get(&key).copied() {
+            Some(i) => {
+                // Replacement: new bytes, most recent, not an eviction.
+                let old = inner.slab[i].data.replace(data).map_or(0, |d| d.len());
+                inner.used_bytes -= old;
+                inner.unlink(i);
+                inner.push_newest(i);
+            }
+            None => {
+                let i = inner.alloc(key, data);
+                inner.map.insert(key, i);
+                inner.push_newest(i);
+            }
         }
         inner.used_bytes += size;
         while inner.used_bytes > self.capacity_bytes {
-            // Evict the least recently used entry.
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("cache over budget implies non-empty");
-            if let Some(e) = inner.map.remove(&victim) {
-                inner.used_bytes -= e.data.len();
-                inner.evictions += 1;
-                leco_obs::counter!("kv.cache.evictions").inc();
-            }
+            // The entry just inserted is the newest and fits on its own, so
+            // the oldest is never it.
+            let victim = inner.oldest;
+            inner.unlink(victim);
+            let entry = &mut inner.slab[victim];
+            let (victim_key, data) = (entry.key, entry.data.take());
+            inner.used_bytes -= data.map_or(0, |d| d.len());
+            inner.map.remove(&victim_key);
+            inner.free.push(victim);
+            inner.evictions += 1;
+            leco_obs::counter!("kv.cache.evictions").inc();
         }
     }
 
@@ -126,11 +190,26 @@ impl BlockCache {
     pub fn used_bytes(&self) -> usize {
         self.inner.lock().used_bytes
     }
+
+    /// Cached keys, most recently used first.
+    #[cfg(test)]
+    fn keys_by_recency(&self) -> Vec<BlockKey> {
+        let inner = self.inner.lock();
+        let mut keys = Vec::with_capacity(inner.map.len());
+        let mut i = inner.newest;
+        while i != NIL {
+            keys.push(inner.slab[i].key);
+            i = inner.slab[i].older;
+        }
+        keys
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn hit_and_miss_accounting() {
@@ -224,5 +303,128 @@ mod tests {
             h.join().unwrap();
         }
         assert!(cache.used_bytes() <= 10_000);
+    }
+
+    /// The cache this module used to ship: every access stamps a monotonic
+    /// tick, and eviction scans the whole map for the smallest one.
+    struct ReferenceCache {
+        map: HashMap<BlockKey, (usize, u64)>,
+        capacity_bytes: usize,
+        used_bytes: usize,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+        evicted: Vec<BlockKey>,
+    }
+
+    impl ReferenceCache {
+        fn new(capacity_bytes: usize) -> Self {
+            Self {
+                map: HashMap::new(),
+                capacity_bytes,
+                used_bytes: 0,
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                evicted: Vec::new(),
+            }
+        }
+
+        fn get(&mut self, key: &BlockKey) -> Option<usize> {
+            self.tick += 1;
+            match self.map.get_mut(key) {
+                Some((size, last_used)) => {
+                    *last_used = self.tick;
+                    self.hits += 1;
+                    Some(*size)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, key: BlockKey, size: usize) {
+            if size > self.capacity_bytes {
+                return;
+            }
+            self.tick += 1;
+            if let Some((old, _)) = self.map.insert(key, (size, self.tick)) {
+                self.used_bytes -= old;
+            }
+            self.used_bytes += size;
+            while self.used_bytes > self.capacity_bytes {
+                let victim = *self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, &(_, last_used))| last_used)
+                    .map(|(k, _)| k)
+                    .unwrap();
+                let (size, _) = self.map.remove(&victim).unwrap();
+                self.used_bytes -= size;
+                self.evicted.push(victim);
+            }
+        }
+
+        fn keys_by_recency(&self) -> Vec<BlockKey> {
+            let mut keys: Vec<(u64, BlockKey)> =
+                self.map.iter().map(|(k, &(_, t))| (t, *k)).collect();
+            keys.sort_unstable_by(|a, b| b.cmp(a));
+            keys.into_iter().map(|(_, k)| k).collect()
+        }
+    }
+
+    /// Random get / insert / replace / oversize sequences under small byte
+    /// budgets: both caches must agree on every hit, miss and eviction, the
+    /// evicted keys, the bytes held and the full recency order.
+    #[test]
+    fn lru_matches_min_last_used_reference() {
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capacity = rng.gen_range(64..2_048usize);
+            let key_space = rng.gen_range(2..48u64);
+            let cache = BlockCache::new(capacity);
+            let mut reference = ReferenceCache::new(capacity);
+            for step in 0..3_000 {
+                let key = (rng.gen_range(0..2u32), rng.gen_range(0..key_space));
+                let before = cache.keys_by_recency();
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        let got = cache.get(&key).map(|d| d.len());
+                        assert_eq!(got, reference.get(&key), "seed {seed} step {step}");
+                    }
+                    choice => {
+                        let size = match choice {
+                            // Oversize: never cached, never evicts.
+                            9 => capacity + rng.gen_range(1..64usize),
+                            _ => rng.gen_range(1..=capacity / 2),
+                        };
+                        cache.insert(key, Arc::new(vec![0u8; size]));
+                        let evicted_before = reference.evicted.len();
+                        reference.insert(key, size);
+                        let after = cache.keys_by_recency();
+                        let mut evicted: Vec<BlockKey> = before
+                            .iter()
+                            .filter(|k| !after.contains(k))
+                            .copied()
+                            .collect();
+                        let mut want = reference.evicted[evicted_before..].to_vec();
+                        evicted.sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(evicted, want, "seed {seed} step {step}: victims");
+                    }
+                }
+                assert_eq!(
+                    cache.keys_by_recency(),
+                    reference.keys_by_recency(),
+                    "seed {seed} step {step}: recency order"
+                );
+                assert_eq!(cache.used_bytes(), reference.used_bytes);
+                assert_eq!(cache.stats(), (reference.hits, reference.misses));
+                assert_eq!(cache.eviction_count(), reference.evicted.len() as u64);
+                assert!(cache.used_bytes() <= capacity);
+            }
+        }
     }
 }

@@ -5,13 +5,19 @@
 //! `Store::seek` follows the RocksDB read path the paper measures: search the
 //! index block for the candidate data block, fetch it from the block cache or
 //! the file, then scan the block for the first record `>= key`.
+//!
+//! Every method takes `&self`: one `Store` behind an `Arc` serves any number
+//! of threads.  Cache misses are positioned reads on the one descriptor
+//! opened at load, so concurrent misses never contend on a seek cursor.
 
-use crate::block::{seek_in_block, BlockBuilder};
+use crate::block::{read_record, seek_in_block, BlockBuilder};
 use crate::cache::{BlockCache, BlockKey};
 use crate::index::{BlockHandle, IndexBlock, IndexBlockFormat};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::Write;
+#[cfg(not(unix))]
+use std::io::{Read, Seek, SeekFrom};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -35,7 +41,7 @@ impl Default for StoreOptions {
 
 /// A loaded, immutable key-value store.
 pub struct Store {
-    path: PathBuf,
+    file: PositionedFile,
     index: IndexBlock,
     cache: BlockCache,
     options: StoreOptions,
@@ -92,7 +98,7 @@ impl Store {
         file.flush()?;
         let index = IndexBlock::build(&index_entries, options.index_format);
         Ok(Self {
-            path: path.as_ref().to_path_buf(),
+            file: PositionedFile::open(path.as_ref())?,
             index,
             cache: BlockCache::new(options.block_cache_bytes),
             options,
@@ -143,10 +149,8 @@ impl Store {
         if let Some(block) = self.cache.get(&key) {
             return Ok(block);
         }
-        let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(handle.offset))?;
         let mut buf = vec![0u8; handle.size as usize];
-        file.read_exact(&mut buf)?;
+        self.file.read_exact_at(&mut buf, handle.offset)?;
         self.disk_reads.fetch_add(1, Ordering::Relaxed);
         let block = Arc::new(buf);
         self.cache.insert(key, block.clone());
@@ -168,7 +172,7 @@ impl Store {
         }
         let handle = self.index.seek(key);
         let block = self.read_block(handle)?;
-        if let Some((k, v)) = seek_in_block(&block, key) {
+        if let Some((k, v)) = seek_in_block(&block, key)? {
             return Ok(Some((k.to_vec(), v.to_vec())));
         }
         // The key is greater than everything in the candidate block: the
@@ -181,60 +185,82 @@ impl Store {
         if next_offset >= self.data_bytes {
             return Ok(None);
         }
-        self.read_first_record_at(next_offset)
+        self.read_first_record_at(next_offset).map(Some)
     }
 
     /// First `(key, value)` record of the block starting at `offset`.
     ///
     /// Most blocks fit `BLOCK_SIZE`, but a single record bigger than the
     /// block budget produces an oversized block: a fixed-size over-read
-    /// would truncate it mid-record, and parsing the truncated image used
-    /// to slice out of bounds (a panic that poisoned a whole `multi_get`
-    /// batch).  The read is therefore extended, header-first, until the
-    /// record is complete.
-    fn read_first_record_at(&self, offset: u64) -> std::io::Result<Option<KvPair>> {
+    /// would truncate it mid-record.  The read is therefore extended,
+    /// header-first, until the record is complete.  A length field that
+    /// points past the end of the data region is an
+    /// [`std::io::ErrorKind::InvalidData`] error.
+    fn read_first_record_at(&self, offset: u64) -> std::io::Result<KvPair> {
         let avail = (self.data_bytes - offset) as usize;
-        let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(offset))?;
         let mut buf = vec![0u8; avail.min(crate::block::BLOCK_SIZE)];
-        file.read_exact(&mut buf)?;
+        self.file.read_exact_at(&mut buf, offset)?;
         self.disk_reads.fetch_add(1, Ordering::Relaxed);
         // Grow `buf` to at least `needed` bytes of the file tail starting at
-        // `offset`; false when the file ends before `needed` (a record can
-        // never straddle the end of the data region).
-        let mut ensure = |buf: &mut Vec<u8>, needed: usize| -> std::io::Result<bool> {
+        // `offset`; a record can never straddle the end of the data region.
+        let ensure = |buf: &mut Vec<u8>, needed: usize| -> std::io::Result<()> {
             if buf.len() >= needed {
-                return Ok(true);
+                return Ok(());
             }
             if needed > avail {
-                return Ok(false);
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("corrupt data block at byte {offset}: record runs past the data end"),
+                ));
             }
             let old = buf.len();
             buf.resize(needed, 0);
-            file.seek(SeekFrom::Start(offset + old as u64))?;
-            file.read_exact(&mut buf[old..])?;
+            self.file
+                .read_exact_at(&mut buf[old..], offset + old as u64)?;
             self.disk_reads.fetch_add(1, Ordering::Relaxed);
-            Ok(true)
+            Ok(())
         };
-        if !ensure(&mut buf, 2)? {
-            return Ok(None);
-        }
+        ensure(&mut buf, 2)?;
         let key_len = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-        if !ensure(&mut buf, 2 + key_len + 4)? {
-            return Ok(None);
-        }
-        let value_len = u32::from_le_bytes([
-            buf[2 + key_len],
-            buf[2 + key_len + 1],
-            buf[2 + key_len + 2],
-            buf[2 + key_len + 3],
-        ]) as usize;
-        if !ensure(&mut buf, 2 + key_len + 4 + value_len)? {
-            return Ok(None);
-        }
-        let key = buf[2..2 + key_len].to_vec();
-        let value = buf[2 + key_len + 4..2 + key_len + 4 + value_len].to_vec();
-        Ok(Some((key, value)))
+        ensure(&mut buf, 2 + key_len + 4)?;
+        let len_field = &buf[2 + key_len..2 + key_len + 4];
+        let value_len = u32::from_le_bytes(len_field.try_into().expect("4 bytes")) as usize;
+        ensure(&mut buf, (2 + key_len + 4).saturating_add(value_len))?;
+        let (key, value, _) = read_record(&buf, 0)?;
+        Ok((key.to_vec(), value.to_vec()))
+    }
+}
+
+/// One open file descriptor supporting positioned (`pread`-style) reads that
+/// take `&self`, so concurrent readers never contend on a seek cursor.
+struct PositionedFile {
+    file: File,
+    /// Non-unix platforms lack a positioned read on `&File`; serialise
+    /// seek+read pairs behind a lock there instead.
+    #[cfg(not(unix))]
+    cursor: std::sync::Mutex<()>,
+}
+
+impl PositionedFile {
+    fn open(path: &Path) -> std::io::Result<Self> {
+        Ok(Self {
+            file: File::open(path)?,
+            #[cfg(not(unix))]
+            cursor: std::sync::Mutex::new(()),
+        })
+    }
+
+    #[cfg(unix)]
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(&self.file, buf, offset)
+    }
+
+    #[cfg(not(unix))]
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        let _guard = self.cursor.lock().unwrap_or_else(|e| e.into_inner());
+        let mut f = &self.file;
+        f.seek(SeekFrom::Start(offset))?;
+        f.read_exact(buf)
     }
 }
 
@@ -303,7 +329,10 @@ pub fn run_seek_workload(store: &Arc<Store>, queries: &[Vec<u8>], threads: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -559,6 +588,88 @@ mod tests {
                 });
             }
         });
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A record whose key or value length field is inflated past the end of
+    /// the file must be an `InvalidData` error on the over-read path, not a
+    /// panic and not an allocation of the claimed length.
+    #[cfg(unix)]
+    #[test]
+    fn inflated_length_on_over_read_path_is_invalid_data() {
+        use std::os::unix::fs::FileExt as _;
+        let recs = records_with_oversized_block();
+        let path = tmp("corrupt-over-read");
+        let store = Store::load(&path, &recs, StoreOptions::default()).unwrap();
+        // "azzz" exhausts the a-blocks; the answer is the first record of the
+        // oversized block, read past its index entry.
+        let big = store.index.seek(b"b-big").offset;
+        let value_len_at = big + 2 + b"b-big".len() as u64;
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        for (at, bytes) in [
+            (value_len_at, u32::MAX.to_le_bytes().to_vec()),
+            (big, u16::MAX.to_le_bytes().to_vec()),
+        ] {
+            file.write_all_at(&bytes, at).unwrap();
+            let err = store.seek(b"azzz").expect_err("corrupt record");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Four threads share one store whose cache holds four blocks: random
+    /// gets plus rounds where every thread misses the same cold block at
+    /// once.  Every answer must be right, the cache must stay in budget,
+    /// and every lookup must count as exactly one hit or one miss.
+    #[test]
+    fn concurrent_gets_with_a_tiny_cache() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 200;
+        const RANDOM_PER_ROUND: usize = 10;
+        let recs = records(20_000);
+        let path = tmp("stress");
+        let capacity = 4 * crate::block::BLOCK_SIZE;
+        let store = Store::load(
+            &path,
+            &recs,
+            StoreOptions {
+                index_format: IndexBlockFormat::Leco,
+                block_cache_bytes: capacity,
+            },
+        )
+        .unwrap();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (store, recs, barrier) = (&store, &recs, &barrier);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(t as u64);
+                    for round in 0..ROUNDS {
+                        // The same key on every thread at once: concurrent
+                        // misses on one block, far from the last round's.
+                        barrier.wait();
+                        let shared = (round * 7_919) % recs.len();
+                        let (key, value) = &recs[shared];
+                        assert_eq!(store.get(key).unwrap().as_ref(), Some(value));
+                        for _ in 0..RANDOM_PER_ROUND {
+                            let i = rng.gen_range(0..recs.len());
+                            let (key, value) = &recs[i];
+                            assert_eq!(store.get(key).unwrap().as_ref(), Some(value));
+                            // Between two keys: absent, never the successor.
+                            let mut absent = key.clone();
+                            absent.push(b'!');
+                            assert_eq!(store.get(&absent).unwrap(), None);
+                        }
+                        assert!(store.cache.used_bytes() <= capacity);
+                    }
+                });
+            }
+        });
+        let (hits, misses) = store.cache_stats();
+        let lookups = (THREADS * ROUNDS * (1 + 2 * RANDOM_PER_ROUND)) as u64;
+        assert_eq!(hits + misses, lookups);
+        assert!(store.cache.used_bytes() <= capacity);
+        assert!(misses > 0 && store.disk_reads() >= misses);
         std::fs::remove_file(&path).ok();
     }
 

@@ -14,6 +14,7 @@ use leco_ingest::{IngestConfig, LiveTable};
 use leco_kvstore::{Store, StoreOptions};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A table to shard: name, column names, equal-length columns.
 pub struct TableSpec {
@@ -140,7 +141,7 @@ impl ShardSetBuilder {
                 id: k,
                 tables: HashMap::new(),
                 live_tables: HashMap::new(),
-                store,
+                store: Arc::new(store),
             });
         }
 

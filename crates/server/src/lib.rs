@@ -2,21 +2,23 @@
 //!
 //! This crate turns the library stack into a *served* database: a
 //! length-prefixed line protocol (`GET`, `MGET`, `SCAN`, `PUT`, `DEL`,
-//! `FLUSH`, `STATS`) accepted by a thread-per-connection frontend,
-//! dispatched to `N` shard workers — each owning a slice of every row-group
-//! table file, an optional WAL-backed [`leco_ingest::LiveTable`] slice, and
-//! a [`leco_kvstore::Store`] — with the `leco-scan` work-stealing pool
-//! underneath every shard-local scan and multi-get.  See `docs/SERVING.md`
+//! `FLUSH`, `STATS`) accepted by a thread-per-connection frontend over `N`
+//! shards — each owning a slice of every row-group table file, an optional
+//! WAL-backed [`leco_ingest::LiveTable`] slice, and a
+//! [`leco_kvstore::Store`].  Point lookups read the shared stores on the
+//! connection thread; everything else runs on one worker thread per shard,
+//! with the `leco-scan` work-stealing pool underneath every shard-local
+//! scan.  See `docs/SERVING.md`
 //! for the frame layout, routing rules and lifecycle, and `docs/INGEST.md`
 //! for the write path behind `PUT`/`DEL`/`FLUSH`.
 //!
-//! * **Routing.**  Point lookups go to `fnv1a64(key) % shards`
+//! * **Routing.**  Point lookups read the store of `fnv1a64(key) % shards`
 //!   ([`shard::shard_for_key`]); scans fan out to all shards and merge
 //!   *integer partials*, so a sharded result is bit-identical to a single
 //!   in-process [`leco_scan::Scanner`] run at any shard count.
 //! * **Pipelining.**  A connection drains every buffered request frame into
 //!   one batch and dispatches the whole batch before awaiting replies, so a
-//!   pipelining client keeps all shards busy from a single socket.
+//!   pipelining client keeps all shard workers busy from a single socket.
 //! * **Isolation.**  Malformed requests answer `400` and the connection
 //!   survives; shard failures answer `500` and the worker survives; only a
 //!   corrupt frame length closes the connection.

@@ -1,11 +1,13 @@
 //! The threaded TCP frontend: accept loop → per-connection handler →
 //! shard dispatch → ordered replies.
 //!
-//! One thread per connection reads length-prefixed frames, parses commands,
-//! and dispatches them to the shard workers over channels.  Reads drain the
-//! socket buffer into a [`FrameCursor`], so a pipelining client's burst of
-//! requests is dispatched as one *batch* — every shard involved works in
-//! parallel — and the replies are written back in request order.
+//! One thread per connection reads length-prefixed frames and parses
+//! commands.  `GET`/`MGET` are answered right there, against each shard's
+//! shared read-only [`Store`]; `SCAN`/`PUT`/`DEL`/`FLUSH` go to the shard
+//! workers over channels.  Reads drain the socket buffer into a
+//! [`FrameCursor`], so a pipelining client's burst of requests is dispatched
+//! as one *batch* — every shard involved works in parallel — and the replies
+//! are written back in request order.
 //!
 //! Failure isolation: a malformed request earns a `400` reply and the
 //! connection lives on; a shard-side failure earns a `500`; only a corrupt
@@ -23,6 +25,7 @@ use crate::shard::{
 };
 use crate::ShardSet;
 use leco_bench::report::Json;
+use leco_kvstore::Store;
 use leco_obs::Stopwatch;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,7 +39,7 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (tests, benchmarks).
     pub addr: String,
-    /// Work-stealing threads each shard uses for one scan / multi-get.
+    /// Work-stealing threads each shard uses for one scan.
     pub scan_threads: usize,
     /// Most requests dispatched as one pipelined batch.
     pub max_batch: usize,
@@ -72,6 +75,8 @@ pub struct Server {
 
 struct ConnContext {
     txs: Vec<mpsc::Sender<ShardJob>>,
+    /// Each shard's store, indexed by shard id: point lookups read it here.
+    stores: Vec<Arc<Store>>,
     manifest: Arc<Manifest>,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
@@ -86,6 +91,7 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let manifest = Arc::new(set.manifest);
 
+        let stores: Vec<Arc<Store>> = set.shards.iter().map(|s| Arc::clone(&s.store)).collect();
         let mut shard_txs = Vec::with_capacity(set.shards.len());
         let mut shard_handles = Vec::with_capacity(set.shards.len());
         for data in set.shards {
@@ -111,6 +117,7 @@ impl Server {
                     let Ok(stream) = stream else { continue };
                     let ctx = ConnContext {
                         txs: txs.clone(),
+                        stores: stores.clone(),
                         manifest: Arc::clone(&manifest),
                         shutdown: Arc::clone(&shutdown),
                         config: config.clone(),
@@ -266,8 +273,6 @@ enum Pending {
 }
 
 enum WaitKind {
-    Get,
-    MGet { n_keys: usize },
     Scan,
     Write,
     Flush,
@@ -328,54 +333,42 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
     match request {
         Request::Get { key } => {
             leco_obs::counter!("srv.cmd.get").inc();
-            let (reply_tx, rx) = mpsc::channel();
-            let target = shard_for_key(&key, shards);
-            send_job(
-                ctx,
-                target,
-                ShardJob {
-                    cmd: ShardCmd::Get { key },
-                    tag: target,
-                    reply: reply_tx,
-                },
-            );
-            Pending::Waiting {
-                rx,
-                expect: 1,
-                kind: WaitKind::Get,
+            let shard = shard_for_key(&key, shards);
+            let reply = match ctx.stores[shard].get(&key) {
+                Ok(value) => ok_response(found_value(value)),
+                Err(e) => error_response(500, &format!("shard {shard}: get failed: {e}")),
+            };
+            Pending::Ready {
+                reply,
                 latency: "srv.latency.get_ns",
                 started,
             }
         }
         Request::MGet { keys } => {
             leco_obs::counter!("srv.cmd.mget").inc();
-            let n_keys = keys.len();
-            let mut per_shard: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); shards];
-            for (pos, key) in keys.into_iter().enumerate() {
-                let target = shard_for_key(&key, shards);
-                per_shard[target].push((pos, key));
-            }
-            let (reply_tx, rx) = mpsc::channel();
-            let mut expect = 0usize;
-            for (target, sub) in per_shard.into_iter().enumerate() {
-                if sub.is_empty() {
-                    continue;
+            let mut values = Vec::with_capacity(keys.len());
+            // The reply names the lowest-numbered failing shard, and that
+            // shard's first failing key in request order.
+            let mut failure: Option<(usize, std::io::Error)> = None;
+            for key in &keys {
+                let shard = shard_for_key(key, shards);
+                match ctx.stores[shard].get(key) {
+                    Ok(value) => values.push(Json::Obj(found_value(value))),
+                    Err(e) => {
+                        if failure.as_ref().is_none_or(|&(first, _)| shard < first) {
+                            failure = Some((shard, e));
+                        }
+                    }
                 }
-                expect += 1;
-                send_job(
-                    ctx,
-                    target,
-                    ShardJob {
-                        cmd: ShardCmd::MGet { keys: sub },
-                        tag: target,
-                        reply: reply_tx.clone(),
-                    },
-                );
             }
-            Pending::Waiting {
-                rx,
-                expect,
-                kind: WaitKind::MGet { n_keys },
+            let reply = match failure {
+                None => ok_response(vec![("values".into(), Json::Arr(values))]),
+                Some((shard, e)) => {
+                    error_response(500, &format!("shard {shard}: multi_get failed: {e}"))
+                }
+            };
+            Pending::Ready {
+                reply,
                 latency: "srv.latency.mget_ns",
                 started,
             }
@@ -556,38 +549,6 @@ fn assemble(kind: WaitKind, mut replies: Vec<(usize, ShardReply)>) -> Json {
         }
     }
     match kind {
-        WaitKind::Get => match replies.pop() {
-            Some((_, ShardReply::Value(value))) => ok_response(vec![
-                ("found".into(), Json::Bool(value.is_some())),
-                (
-                    "value".into(),
-                    value.map_or(Json::Null, |v| {
-                        Json::Str(String::from_utf8_lossy(&v).into_owned())
-                    }),
-                ),
-            ]),
-            _ => error_response(500, "shard returned a mismatched reply"),
-        },
-        WaitKind::MGet { n_keys } => {
-            let mut values: Vec<Json> = vec![Json::Null; n_keys];
-            for (_, reply) in replies {
-                let ShardReply::Values(part) = reply else {
-                    return error_response(500, "shard returned a mismatched reply");
-                };
-                for (pos, value) in part {
-                    values[pos] = Json::Obj(vec![
-                        ("found".into(), Json::Bool(value.is_some())),
-                        (
-                            "value".into(),
-                            value.map_or(Json::Null, |v| {
-                                Json::Str(String::from_utf8_lossy(&v).into_owned())
-                            }),
-                        ),
-                    ]);
-                }
-            }
-            ok_response(vec![("values".into(), Json::Arr(values))])
-        }
         WaitKind::Write => match replies.pop() {
             // The shard replies only after its WAL commit, so reaching here
             // means the write is on stable storage.
@@ -645,6 +606,19 @@ fn assemble(kind: WaitKind, mut replies: Vec<(usize, ShardReply)>) -> Json {
             ])
         }
     }
+}
+
+/// The `found` / `value` fields of one point lookup's answer.
+fn found_value(value: Option<Vec<u8>>) -> Vec<(String, Json)> {
+    vec![
+        ("found".into(), Json::Bool(value.is_some())),
+        (
+            "value".into(),
+            value.map_or(Json::Null, |v| {
+                Json::Str(String::from_utf8_lossy(&v).into_owned())
+            }),
+        ),
+    ]
 }
 
 fn stats_response(ctx: &ConnContext) -> Json {

@@ -1,12 +1,13 @@
 //! Shards: routing, the per-shard worker loop, and the manifest.
 //!
-//! Each shard worker is one thread owning its slice of the data — a set of
-//! row-group table files plus a [`Store`] — and a receiver of
+//! Each shard worker is one thread owning its slice of the tables — a set of
+//! row-group table files plus live tables — and a receiver of
 //! [`ShardJob`]s.  Point lookups route to exactly one shard by key hash
-//! ([`shard_for_key`]); scans fan out to every shard holding a slice of the
-//! table and come back as *integer partials* ([`ShardScanPartial`]) that
-//! the connection merges with exact arithmetic, so a sharded result is
-//! bit-identical to a single in-process scan.
+//! ([`shard_for_key`]) and read that shard's shared [`Store`] on the
+//! connection thread, never through a worker; scans fan out to every shard
+//! holding a slice of the table and come back as *integer partials*
+//! ([`ShardScanPartial`]) that the connection merges with exact arithmetic,
+//! so a sharded result is bit-identical to a single in-process scan.
 //!
 //! A bad request (unknown table or column) and an internal failure both
 //! come back as replies, never as a dead worker: the worker loop only exits
@@ -19,7 +20,7 @@ use leco_ingest::{Agg as IngestAgg, LiveTable, ScanSpec};
 use leco_kvstore::Store;
 use leco_scan::Scanner;
 use std::collections::HashMap;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 /// FNV-1a over the key bytes — the stable, dependency-free routing hash the
 /// manifest records.
@@ -47,24 +48,13 @@ pub struct ShardData {
     /// route here by the key column's hash, so one key's rows all live on
     /// one shard.
     pub live_tables: HashMap<String, LiveTable>,
-    /// This shard's slice of the key space.
-    pub store: Store,
+    /// This shard's slice of the key space, shared read-only with every
+    /// connection thread.
+    pub store: Arc<Store>,
 }
 
-/// What a shard is asked to do.  `MGet` carries the keys' positions in the
-/// original request so the connection can scatter the answers back in
-/// request order.
+/// What a shard worker is asked to do.
 pub enum ShardCmd {
-    /// Exact-match point lookup.
-    Get {
-        /// Key to look up.
-        key: Vec<u8>,
-    },
-    /// Batched exact-match lookups for the subset of an `MGET` routed here.
-    MGet {
-        /// `(position in the client's key list, key)` pairs.
-        keys: Vec<(usize, Vec<u8>)>,
-    },
     /// One shard's share of a `SCAN`.
     Scan {
         /// Table name.
@@ -161,10 +151,6 @@ impl ShardScanPartial {
 
 /// A shard's answer to one [`ShardCmd`].
 pub enum ShardReply {
-    /// `Get`: the value, if the key exists.
-    Value(Option<Vec<u8>>),
-    /// `MGet`: `(position, value)` for every key routed to this shard.
-    Values(Vec<(usize, Option<Vec<u8>>)>),
     /// `Scan`: this shard's exact partials.
     Scan(Box<ShardScanPartial>),
     /// `Put` / `Del`: the write is durable (WAL fsync'd) on this shard.
@@ -210,27 +196,6 @@ pub fn run_shard_worker(data: &ShardData, jobs: mpsc::Receiver<ShardJob>, scan_t
 
 fn execute(data: &ShardData, cmd: &ShardCmd, scan_threads: usize) -> ShardReply {
     match cmd {
-        ShardCmd::Get { key } => match data.store.get(key) {
-            Ok(value) => ShardReply::Value(value),
-            Err(e) => ShardReply::Error(format!("shard {}: get failed: {e}", data.id)),
-        },
-        ShardCmd::MGet { keys } => {
-            let flat: Vec<Vec<u8>> = keys.iter().map(|(_, k)| k.clone()).collect();
-            match data.store.multi_get(&flat, scan_threads) {
-                Ok(found) => ShardReply::Values(
-                    keys.iter()
-                        .zip(found)
-                        .map(|(&(pos, ref key), hit)| {
-                            // multi_get seeks (lower bound); keep only exact
-                            // matches, the point-lookup semantic.
-                            let value = hit.filter(|(k, _)| k == key).map(|(_, v)| v);
-                            (pos, value)
-                        })
-                        .collect(),
-                ),
-                Err(e) => ShardReply::Error(format!("shard {}: multi_get failed: {e}", data.id)),
-            }
-        }
         ShardCmd::Scan { table, filter, agg } => {
             execute_scan(data, table, filter, agg, scan_threads)
         }

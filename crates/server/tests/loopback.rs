@@ -415,6 +415,64 @@ fn put_is_visible_before_and_after_flush_at_every_shard_count() {
     }
 }
 
+/// One pipelined burst mixing the lookup route (`GET`/`MGET`, answered on
+/// the connection thread) with the shard-worker route (`SCAN`/`PUT`) and a
+/// malformed line: replies come back in request order, each with the right
+/// contents, and a `SCAN` sent after a `PUT` in the same burst sees it.
+#[test]
+fn mixed_pipelined_burst_answers_in_request_order() {
+    let dir = tmp_dir("mixed-burst");
+    let shards = 2;
+    let server = start_live_server(&dir, shards);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // Present keys on both shards, so the MGET spans them.
+    let on_shard = |s: usize| {
+        (0..10)
+            .find(|&i| shard_for_key(format!("key{i:06}").as_bytes(), shards) == s)
+            .expect("every shard owns a key")
+    };
+    let (a, b) = (on_shard(0), on_shard(1));
+    let burst = [
+        format!("GET key{a:06}"),
+        "GET key999999".to_string(),
+        format!("MGET key{b:06} nosuchkey key{a:06} key000010"),
+        "SCAN sensors".to_string(),
+        "FROBNICATE now".to_string(),
+        "PUT events 7 2 700".to_string(),
+        "SCAN events SUM val".to_string(),
+        format!("GET key{b:06}"),
+    ];
+    for command in &burst {
+        client.send(command).unwrap();
+    }
+    let replies: Vec<Json> = burst.iter().map(|_| client.recv().unwrap()).collect();
+
+    assert_eq!(get_value(&replies[0]), Some(format!("value-{a}")));
+    assert_eq!(get_value(&replies[1]), None);
+    let values = replies[2].get("values").and_then(Json::as_arr).unwrap();
+    let found: Vec<Option<&str>> = values
+        .iter()
+        .map(|v| v.get("value").and_then(Json::as_str))
+        .collect();
+    let (want_a, want_b) = (format!("value-{a}"), format!("value-{b}"));
+    assert_eq!(
+        found,
+        [Some(want_b.as_str()), None, Some(want_a.as_str()), None]
+    );
+    assert_eq!(
+        replies[3].get("rows_selected").and_then(Json::as_f64),
+        Some(64.0)
+    );
+    assert_eq!(response_code(&replies[4]), 400);
+    assert_eq!(replies[5].get("durable"), Some(&Json::Bool(true)));
+    assert_eq!(replies[6].get("sum").and_then(Json::as_str), Some("700"));
+    assert_eq!(get_value(&replies[7]), Some(want_b));
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn restart_recovers_every_acknowledged_put_and_del() {
     let dir = tmp_dir("restart");
