@@ -1,9 +1,9 @@
 //! `leco-ingest` — the write path of the LeCo stack.
 //!
 //! Everything below this crate encodes a complete, static column; this crate
-//! is what makes data *arrive*: a WAL-backed mutable memtable with O(1)
-//! running ingest statistics, background compaction through the learned
-//! partitioner + exact cost model into immutable row-group table files, and
+//! is what makes data *arrive*: a WAL-backed mutable memtable, background
+//! compaction of key-sorted rows through the learned partitioner + exact
+//! cost model into immutable row-group table files, and
 //! snapshot-consistent scans that merge memtable, frozen segments and
 //! compacted files with exact integer partials.
 //!

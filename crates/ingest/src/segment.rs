@@ -1,21 +1,19 @@
 //! In-memory segments: the mutable memtable and its frozen, immutable form.
 //!
-//! A [`MemSegment`] is plain column vectors plus O(1) running
-//! [`ColumnStats`]. When it reaches the configured row budget it is frozen:
-//! the column data moves behind an `Arc` and gains an *alive* bitmask.
+//! A [`MemSegment`] is plain column vectors. When it reaches the configured
+//! row budget it is frozen: the column data moves behind an `Arc` and gains
+//! an *alive* bitmask.
 //! Frozen data never mutates — a delete produces a copy-on-write replacement
 //! segment sharing the same column `Arc` with a narrower mask — so a scan
 //! that cloned the segment list keeps seeing a consistent snapshot no matter
 //! what commits after it.
 
-use crate::stats::ColumnStats;
 use std::sync::Arc;
 
 /// The mutable head of a live table: plain column vectors being appended.
 #[derive(Debug)]
 pub struct MemSegment {
     columns: Vec<Vec<u64>>,
-    stats: Vec<ColumnStats>,
 }
 
 impl MemSegment {
@@ -23,16 +21,14 @@ impl MemSegment {
     pub fn new(ncols: usize) -> Self {
         Self {
             columns: (0..ncols).map(|_| Vec::new()).collect(),
-            stats: vec![ColumnStats::default(); ncols],
         }
     }
 
     /// Append one row; `row.len()` must equal the column count.
     pub fn push_row(&mut self, row: &[u64]) {
         debug_assert_eq!(row.len(), self.columns.len());
-        for ((col, stat), &v) in self.columns.iter_mut().zip(&mut self.stats).zip(row) {
+        for (col, &v) in self.columns.iter_mut().zip(row) {
             col.push(v);
-            stat.push(v);
         }
     }
 
@@ -51,14 +47,8 @@ impl MemSegment {
         &self.columns
     }
 
-    /// Running stats, one per column.
-    pub fn stats(&self) -> &[ColumnStats] {
-        &self.stats
-    }
-
     /// Remove every row whose `key_col` value equals `key`, returning how
-    /// many rows were dropped. Rebuilds the running stats from the survivors
-    /// (deletes are rare; appends stay O(1)).
+    /// many rows were dropped.
     pub fn purge_key(&mut self, key_col: usize, key: u64) -> u64 {
         let keep: Vec<bool> = self.columns[key_col].iter().map(|&v| v != key).collect();
         let dropped = keep.iter().filter(|k| !**k).count() as u64;
@@ -69,13 +59,6 @@ impl MemSegment {
             let mut it = keep.iter();
             col.retain(|_| *it.next().unwrap());
         }
-        for (col, stat) in self.columns.iter().zip(&mut self.stats) {
-            let mut s = ColumnStats::default();
-            for &v in col {
-                s.push(v);
-            }
-            *stat = s;
-        }
         dropped
     }
 
@@ -85,7 +68,6 @@ impl MemSegment {
         FrozenSegment {
             id,
             columns: Arc::new(self.columns),
-            stats: self.stats,
             alive: AliveMask::all_set(rows),
         }
     }
@@ -131,7 +113,6 @@ pub struct FrozenSegment {
     /// segments in its snapshot.
     pub id: u64,
     columns: Arc<Vec<Vec<u64>>>,
-    stats: Vec<ColumnStats>,
     alive: AliveMask,
 }
 
@@ -154,12 +135,6 @@ impl FrozenSegment {
     /// The shared column vectors (mask not applied).
     pub fn columns(&self) -> &[Vec<u64>] {
         &self.columns
-    }
-
-    /// Stats captured at freeze time. Hints only: deletes may have narrowed
-    /// the live domain since.
-    pub fn stats(&self) -> &[ColumnStats] {
-        &self.stats
     }
 
     /// Copy-on-write delete: a new segment sharing the same column data with
@@ -197,21 +172,12 @@ mod tests {
     }
 
     #[test]
-    fn push_tracks_stats_per_column() {
-        let seg = segment_with(&[[1, 9, 5], [2, 7, 5], [3, 8, 5]]);
-        assert_eq!(seg.rows(), 3);
-        assert!(seg.stats()[0].is_non_decreasing());
-        assert_eq!(seg.stats()[1].runs, 2);
-        assert_eq!((seg.stats()[2].min, seg.stats()[2].max), (5, 5));
-    }
-
-    #[test]
-    fn purge_rewrites_columns_and_stats() {
+    fn purge_drops_every_matching_row() {
         let mut seg = segment_with(&[[1, 10, 0], [2, 20, 0], [1, 30, 0], [3, 40, 0]]);
         assert_eq!(seg.purge_key(0, 1), 2);
         assert_eq!(seg.rows(), 2);
+        assert_eq!(seg.columns()[0], vec![2, 3]);
         assert_eq!(seg.columns()[1], vec![20, 40]);
-        assert_eq!((seg.stats()[0].min, seg.stats()[0].max), (2, 3));
         assert_eq!(seg.purge_key(0, 99), 0);
     }
 

@@ -1,14 +1,12 @@
-//! O(1) running column statistics, maintained per push.
+//! Column statistics the compactor reads when choosing a flush encoding.
 //!
-//! Every value appended to a [`crate::MemSegment`] updates these counters in
-//! constant time (the LocustDB ingest-builder trick): min/max bound the
-//! domain, and the count of maximal non-decreasing runs measures how
-//! model-friendly the column is.  The compactor consults the run structure
-//! when choosing the flush encoding — long runs mean the learned partitioner
-//! will fit cheap linear models, short runs mean the column is noise and
-//! plain storage is the better deal.
+//! Computed once per flushed column, in one O(1)-per-value pass over the
+//! key-sorted rows: min/max bound the domain, and the count of maximal
+//! non-decreasing runs measures how model-friendly the column is — long
+//! runs mean the learned partitioner will fit cheap linear models, short
+//! runs mean the column is noise and plain storage is the better deal.
 
-/// Running statistics over one column of a mutable segment.
+/// Statistics over one column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnStats {
     /// Values pushed so far.
@@ -17,8 +15,6 @@ pub struct ColumnStats {
     pub min: u64,
     /// Largest value seen.
     pub max: u64,
-    /// First value pushed (needed to merge run counts across segments).
-    pub first: u64,
     /// Most recent value pushed.
     pub last: u64,
     /// Number of maximal non-decreasing runs. A fully sorted column has one
@@ -32,7 +28,6 @@ impl Default for ColumnStats {
             rows: 0,
             min: u64::MAX,
             max: 0,
-            first: 0,
             last: 0,
             runs: 0,
         }
@@ -40,10 +35,18 @@ impl Default for ColumnStats {
 }
 
 impl ColumnStats {
+    /// The stats of a whole column.
+    pub fn of(values: &[u64]) -> ColumnStats {
+        let mut s = ColumnStats::default();
+        for &v in values {
+            s.push(v);
+        }
+        s
+    }
+
     /// Fold one value in. O(1): a handful of compares and adds.
     pub fn push(&mut self, v: u64) {
         if self.rows == 0 {
-            self.first = v;
             self.runs = 1;
         } else if v < self.last {
             self.runs += 1;
@@ -68,69 +71,20 @@ impl ColumnStats {
             self.rows as f64 / self.runs as f64
         }
     }
-
-    /// Combine the stats of two column fragments laid out back to back
-    /// (`self` first, `other` after it). Exact: the only cross-boundary fact
-    /// needed is whether `other` starts a new run.
-    pub fn merge(&self, other: &ColumnStats) -> ColumnStats {
-        if other.rows == 0 {
-            return *self;
-        }
-        if self.rows == 0 {
-            return *other;
-        }
-        ColumnStats {
-            rows: self.rows + other.rows,
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-            first: self.first,
-            last: other.last,
-            runs: self.runs + other.runs - u64::from(other.first >= self.last),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stats_of(values: &[u64]) -> ColumnStats {
-        let mut s = ColumnStats::default();
-        for &v in values {
-            s.push(v);
-        }
-        s
-    }
-
     #[test]
     fn tracks_min_max_and_runs() {
-        let s = stats_of(&[5, 7, 7, 9, 2, 3, 1]);
+        let s = ColumnStats::of(&[5, 7, 7, 9, 2, 3, 1]);
         assert_eq!((s.min, s.max), (1, 9));
         assert_eq!(s.rows, 7);
         assert_eq!(s.runs, 3); // [5 7 7 9] [2 3] [1]
         assert!(!s.is_non_decreasing());
-        assert_eq!(stats_of(&[1, 2, 3]).runs, 1);
-        assert!(stats_of(&[1, 2, 3]).is_non_decreasing());
-    }
-
-    #[test]
-    fn merge_matches_concatenation() {
-        let cases: [(&[u64], &[u64]); 4] = [
-            (&[1, 2, 3], &[4, 5]),
-            (&[1, 2, 3], &[0, 5]),
-            (&[9], &[9]),
-            (&[3, 1], &[2, 0, 7]),
-        ];
-        for (a, b) in cases {
-            let concat: Vec<u64> = a.iter().chain(b).copied().collect();
-            assert_eq!(
-                stats_of(a).merge(&stats_of(b)),
-                stats_of(&concat),
-                "{a:?} ++ {b:?}"
-            );
-        }
-        let empty = ColumnStats::default();
-        assert_eq!(empty.merge(&stats_of(&[1])), stats_of(&[1]));
-        assert_eq!(stats_of(&[1]).merge(&empty), stats_of(&[1]));
+        assert_eq!(ColumnStats::of(&[1, 2, 3]).runs, 1);
+        assert!(ColumnStats::of(&[1, 2, 3]).is_non_decreasing());
     }
 }

@@ -10,6 +10,9 @@
 //!                                          frozen segments
 //!                                               │ background compactor
 //!                                               ▼
+//!                               live rows, stable-sorted by key
+//!                                               │
+//!                                               ▼
 //!                          partitioner + CostModel (Encoding::LecoVar)
 //!                                               │
 //!                                               ▼
@@ -18,6 +21,16 @@
 //!                                               ▼
 //!                            manifest rename  +  fresh checkpoint WAL
 //! ```
+//!
+//! # Flush order
+//!
+//! A flush writes its rows sorted by the key column (stable, so equal keys
+//! keep arrival order). Rows arrive interleaved across connections, and the
+//! finer the group commit batches them the shorter the runs each column
+//! keeps — the serial correlation LeCo-var's models fit. Sorted, the file
+//! no longer depends on arrival timing. Scans and tombstones do not depend
+//! on row order, and the checkpoint WAL still logs unflushed rows in
+//! arrival order.
 //!
 //! # Locking
 //!
@@ -377,17 +390,27 @@ impl LiveTable {
     /// Append a batch of rows under one fsync — the group commit. All-or-
     /// nothing per batch: arity is validated before anything is written.
     pub fn put_batch(&self, rows: &[&[u64]]) -> std::io::Result<()> {
-        let ncols = self.inner.columns.len();
-        if let Some(bad) = rows.iter().find(|r| r.len() != ncols) {
-            return Err(invalid_input(format!(
-                "row has {} values, table has {ncols} columns",
-                bad.len()
-            )));
+        for row in rows {
+            self.check_row(row)?;
         }
         if rows.is_empty() {
             return Ok(());
         }
         self.ingest_rows(rows)
+    }
+
+    /// The `InvalidInput` error [`Self::put_batch`] returns for `row`, if
+    /// its arity does not match the schema.
+    pub fn check_row(&self, row: &[u64]) -> std::io::Result<()> {
+        let ncols = self.inner.columns.len();
+        if row.len() == ncols {
+            Ok(())
+        } else {
+            Err(invalid_input(format!(
+                "row has {} values, table has {ncols} columns",
+                row.len()
+            )))
+        }
     }
 
     /// Append column-major data (`cols[c][r]`), group-committed in bounded
@@ -630,7 +653,7 @@ fn background_compactor(inner: Arc<Inner>) {
     }
 }
 
-/// Pick the flush encoding from the O(1) ingest stats: columns dominated by
+/// Pick the flush encoding from the columns' stats: columns dominated by
 /// long non-decreasing runs reward the learned variable-length partitioner
 /// (`LecoVar` — split-merge partitioning under the exact cost model); noisy
 /// short-run data is stored plain rather than paying model overhead for no
@@ -710,18 +733,14 @@ fn compact_cycle(inner: &Arc<Inner>) -> std::io::Result<CompactReport> {
         if cols[0].is_empty() {
             continue; // every row was dead; the file simply disappears
         }
-        let file = write_table_file(inner, &mut next_file_id, &cols, None)?;
+        let file = write_table_file(inner, &mut next_file_id, &cols)?;
         new_files.push(Arc::new(file));
     }
 
     // ---- Flush the snapshot's frozen segments into one new file ----
     if !frozen.is_empty() {
         let mut cols: Vec<Vec<u64>> = vec![Vec::new(); ncols];
-        let mut any_masked = false;
         for seg in &frozen {
-            if seg.live_rows() != seg.rows() {
-                any_masked = true;
-            }
             let data = seg.columns();
             for i in seg.live_indices() {
                 for (c, col) in cols.iter_mut().enumerate() {
@@ -731,20 +750,7 @@ fn compact_cycle(inner: &Arc<Inner>) -> std::io::Result<CompactReport> {
         }
         report.rows_flushed = cols[0].len() as u64;
         if !cols[0].is_empty() {
-            // Partitioner hint: the O(1) ingest stats, merged across
-            // segments. Masked segments invalidate them, so recompute then.
-            let hints = if any_masked {
-                None
-            } else {
-                let mut merged = vec![ColumnStats::default(); ncols];
-                for seg in &frozen {
-                    for (m, s) in merged.iter_mut().zip(seg.stats()) {
-                        *m = m.merge(s);
-                    }
-                }
-                Some(merged)
-            };
-            let file = write_table_file(inner, &mut next_file_id, &cols, hints)?;
+            let file = write_table_file(inner, &mut next_file_id, &sort_by_key(cols, key_col))?;
             report.files_written += 1;
             new_files.push(Arc::new(file));
         }
@@ -840,26 +846,26 @@ fn compact_cycle(inner: &Arc<Inner>) -> std::io::Result<CompactReport> {
     Ok(report)
 }
 
+/// Stable-sort the rows of `cols` by the key column, so equal keys keep
+/// their arrival order (why: the module docs' *Flush order*).
+fn sort_by_key(cols: Vec<Vec<u64>>, key_col: usize) -> Vec<Vec<u64>> {
+    let keys = &cols[key_col];
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| keys[i]);
+    cols.iter()
+        .map(|col| order.iter().map(|&i| col[i]).collect())
+        .collect()
+}
+
 /// Encode `cols` into a new table file (choosing the encoding from the
-/// ingest-stat hints, recomputing them if not supplied), then fsync it and
-/// its directory so the manifest rename that follows commits real bytes.
+/// columns' stats), then fsync it and its directory so the manifest rename
+/// that follows commits real bytes.
 fn write_table_file(
     inner: &Inner,
     next_file_id: &mut u64,
     cols: &[Vec<u64>],
-    hints: Option<Vec<ColumnStats>>,
 ) -> std::io::Result<CompactedFile> {
-    let stats = hints.unwrap_or_else(|| {
-        cols.iter()
-            .map(|col| {
-                let mut s = ColumnStats::default();
-                for &v in col {
-                    s.push(v);
-                }
-                s
-            })
-            .collect()
-    });
+    let stats: Vec<ColumnStats> = cols.iter().map(|col| ColumnStats::of(col)).collect();
     let name = table_file_name(*next_file_id);
     *next_file_id += 1;
     let path = inner.dir.join(&name);
@@ -1098,6 +1104,75 @@ mod tests {
         drop(table);
         assert!(LiveTable::open(&dir, &["a", "c"], manual_config()).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn flush_output_does_not_depend_on_arrival_order() {
+        // Two connections, each putting its own ascending keys.
+        let conn = |c: u64| -> Vec<Vec<u64>> {
+            (0..240u64)
+                .map(|i| vec![c * 10_000 + i, (i * 7 + c) % 5, 5_000 + i * 3 + c])
+                .collect()
+        };
+        let (a, b) = (conn(0), conn(1));
+        let in_key_order: Vec<Vec<u64>> = a.iter().chain(&b).cloned().collect();
+        // Out of phase: bursts of 1..=7 rows from one, 7..=1 from the other.
+        let mut interleaved = Vec::new();
+        let (mut ia, mut ib, mut burst) = (0, 0, 0);
+        while ia < a.len() || ib < b.len() {
+            burst = burst % 7 + 1;
+            let take = burst.min(a.len() - ia);
+            interleaved.extend_from_slice(&a[ia..ia + take]);
+            ia += take;
+            let take = (8 - burst).min(b.len() - ib);
+            interleaved.extend_from_slice(&b[ib..ib + take]);
+            ib += take;
+        }
+        let specs = [
+            ScanSpec::count(),
+            ScanSpec::count().filter("key", 100, 10_150).sum("val"),
+            ScanSpec::count().group_by_avg("id", "val"),
+        ];
+        let scans = |table: &LiveTable| -> Vec<ScanOutput> {
+            specs.iter().map(|s| table.scan(s, 2).unwrap()).collect()
+        };
+
+        let mut files = Vec::new();
+        let mut answers = Vec::new();
+        for (name, rows) in [("key-order", &in_key_order), ("interleaved", &interleaved)] {
+            let dir = tmp_dir(name);
+            let table = LiveTable::open(&dir, &["key", "id", "val"], manual_config()).unwrap();
+            for batch in rows.chunks(5) {
+                put_all(&table, batch);
+            }
+            let before = scans(&table);
+            assert_eq!(table.flush().unwrap().files_written, 1);
+            assert_eq!(scans(&table), before, "{name}: flush changed an answer");
+            drop(table);
+            let table = LiveTable::open(&dir, &["key", "id", "val"], manual_config()).unwrap();
+            assert_eq!(scans(&table), before, "{name}: reopen changed an answer");
+
+            let path = dir.join(table_file_name(0));
+            let file = TableFile::open(&path).unwrap();
+            let mut keys = Vec::new();
+            let mut stats = leco_columnar::exec::QueryStats::default();
+            for rg in 0..file.num_row_groups() {
+                file.read_chunk(rg, 0, &mut stats)
+                    .unwrap()
+                    .decode_into(&mut keys);
+            }
+            assert_eq!(keys.len(), rows.len());
+            assert!(keys.is_sorted(), "{name}: flushed keys out of order");
+            files.push(std::fs::read(&path).unwrap());
+            answers.push(before);
+            drop(table);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert!(
+            files[0] == files[1],
+            "flushed files differ by arrival order"
+        );
+        assert_eq!(answers[0], answers[1]);
     }
 
     #[test]

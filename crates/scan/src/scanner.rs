@@ -317,6 +317,19 @@ impl<'a> Scanner<'a> {
             }
             morsels.push(rg);
         }
+        // Every row group pruned: the answer is already known, so open no
+        // reader and spawn no thread.
+        if morsels.is_empty() {
+            return Ok(ScanResult {
+                groups: Vec::new(),
+                group_partials: Vec::new(),
+                sum: 0,
+                rows_selected: 0,
+                rows_scanned: 0,
+                morsels: 0,
+                stats: sched_stats,
+            });
+        }
         let columns = self.needed_columns();
         let reader = table.chunk_reader()?;
         let prefetch = PrefetchBuffer::new(n_threads);

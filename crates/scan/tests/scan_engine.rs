@@ -347,6 +347,43 @@ fn zone_map_pruning_skips_row_groups_before_enqueue() {
 }
 
 #[test]
+fn fully_pruned_scan_does_no_io() {
+    let (table, path) = write_sensor(
+        40_000,
+        SensorDistribution::Correlated,
+        Encoding::Leco,
+        "all-pruned",
+    );
+    let groups = table.num_row_groups() as u64;
+    let max_ts = (0..table.num_row_groups())
+        .map(|rg| table.zone_map(rg, 0).1)
+        .max()
+        .unwrap();
+    // Unlink the backing file: a scan that tried to open it would fail
+    // with `ScanError::Io`.
+    std::fs::remove_file(&path).unwrap();
+    let missing = || Scanner::new(&table).filter_col(0, max_ts + 1, u64::MAX);
+    for threads in [1, 4] {
+        let scans = [
+            ("count", missing().count()),
+            ("sum", missing().sum_col(2)),
+            ("groupby", missing().group_by_avg_cols(1, 2)),
+        ];
+        for (name, scan) in scans {
+            let r = scan.run(threads).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                (r.rows_selected, r.rows_scanned, r.sum, r.morsels),
+                (0, 0, 0, 0),
+                "{name}"
+            );
+            assert!(r.groups.is_empty() && r.group_partials.is_empty(), "{name}");
+            assert_eq!(r.stats.row_groups_pruned, groups, "{name}");
+            assert_eq!((r.stats.chunks_read, r.stats.io_bytes), (0, 0), "{name}");
+        }
+    }
+}
+
+#[test]
 fn block_compressed_tables_scan_identically() {
     let t = sensor_table(30_000, SensorDistribution::Correlated, 3);
     let (p1, p2) = (tmp("plain-bc"), tmp("lzb-bc"));

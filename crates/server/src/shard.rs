@@ -150,6 +150,7 @@ impl ShardScanPartial {
 }
 
 /// A shard's answer to one [`ShardCmd`].
+#[derive(Debug, PartialEq)]
 pub enum ShardReply {
     /// `Scan`: this shard's exact partials.
     Scan(Box<ShardScanPartial>),
@@ -178,20 +179,80 @@ pub struct ShardJob {
     pub reply: mpsc::Sender<(usize, ShardReply)>,
 }
 
-/// The shard worker loop: drain jobs until every sender is gone.
+/// The shard worker loop: run jobs until every sender is gone.
+///
+/// Each wake-up drains the whole queue and walks it in arrival order. A
+/// run of consecutive `Put`s to one live table is group-committed: one
+/// [`LiveTable::put_batch`], one WAL fsync, and every row in it is acked
+/// only after that returns (a failed commit answers `500` to all of them).
+/// Every other job runs alone, in queue order, so a `Scan` sees every write
+/// queued before it.
 ///
 /// `scan_threads` is the work-stealing parallelism each shard-local
 /// [`Scanner`] run uses.  Errors are turned into replies — a bad request
 /// never kills the worker.
 pub fn run_shard_worker(data: &ShardData, jobs: mpsc::Receiver<ShardJob>, scan_threads: usize) {
+    let mut queue: Vec<ShardJob> = Vec::new();
     while let Ok(job) = jobs.recv() {
-        leco_obs::gauge!("srv.shard.queue_depth").sub(1);
-        leco_obs::counter!("srv.shard.jobs").inc();
-        let reply = execute(data, &job.cmd, scan_threads);
-        // A send error means the connection died mid-request; the shard
-        // just moves on.
-        let _ = job.reply.send((job.tag, reply));
+        queue.push(job);
+        queue.extend(jobs.try_iter());
+        leco_obs::gauge!("srv.shard.queue_depth").sub(queue.len() as i64);
+        leco_obs::counter!("srv.shard.jobs").add(queue.len() as u64);
+        for run in queue.chunk_by(|a, b| same_put_table(&a.cmd, &b.cmd)) {
+            let replies = match &run[0].cmd {
+                ShardCmd::Put { table, .. } => {
+                    let rows: Vec<&[u64]> = run
+                        .iter()
+                        .map(|job| match &job.cmd {
+                            ShardCmd::Put { row, .. } => row.as_slice(),
+                            _ => unreachable!("a put run holds only puts"),
+                        })
+                        .collect();
+                    put_rows(data, table, &rows)
+                }
+                cmd => vec![execute(data, cmd, scan_threads)],
+            };
+            for (job, reply) in run.iter().zip(replies) {
+                // A send error means the connection died mid-request; the
+                // shard just moves on.
+                let _ = job.reply.send((job.tag, reply));
+            }
+        }
+        queue.clear();
     }
+}
+
+/// Whether `a` and `b` are both `Put`s to the same table.
+fn same_put_table(a: &ShardCmd, b: &ShardCmd) -> bool {
+    matches!((a, b), (ShardCmd::Put { table: x, .. }, ShardCmd::Put { table: y, .. }) if x == y)
+}
+
+/// Commit `rows` to the live table `table` under one WAL fsync: one reply
+/// per row, in order. A row of the wrong arity gets its own `400` and stays
+/// out of the batch; the rest are acked together once the batch is durable.
+fn put_rows(data: &ShardData, table: &str, rows: &[&[u64]]) -> Vec<ShardReply> {
+    let Some(live) = data.live_tables.get(table) else {
+        let unknown = || ShardReply::BadRequest(format!("unknown live table {table:?}"));
+        return rows.iter().map(|_| unknown()).collect();
+    };
+    let checked: Vec<std::io::Result<()>> = rows.iter().map(|row| live.check_row(row)).collect();
+    let good: Vec<&[u64]> = rows
+        .iter()
+        .zip(&checked)
+        .filter(|(_, check)| check.is_ok())
+        .map(|(row, _)| *row)
+        .collect();
+    // `put_batch` returns only after the WAL batch is fsync'd, so these
+    // replies are the durability acknowledgement.
+    let committed = live.put_batch(&good);
+    checked
+        .into_iter()
+        .map(|check| match (check, &committed) {
+            (Err(e), _) => ShardReply::BadRequest(e.to_string()),
+            (Ok(()), Ok(())) => ShardReply::Acked,
+            (Ok(()), Err(e)) => ShardReply::Error(format!("shard {}: put failed: {e}", data.id)),
+        })
+        .collect()
 }
 
 fn execute(data: &ShardData, cmd: &ShardCmd, scan_threads: usize) -> ShardReply {
@@ -199,20 +260,9 @@ fn execute(data: &ShardData, cmd: &ShardCmd, scan_threads: usize) -> ShardReply 
         ShardCmd::Scan { table, filter, agg } => {
             execute_scan(data, table, filter, agg, scan_threads)
         }
-        ShardCmd::Put { table, row } => {
-            let Some(live) = data.live_tables.get(table) else {
-                return ShardReply::BadRequest(format!("unknown live table {table:?}"));
-            };
-            // `put` returns only after the WAL batch is fsync'd, so this
-            // reply is the durability acknowledgement.
-            match live.put(row) {
-                Ok(()) => ShardReply::Acked,
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
-                    ShardReply::BadRequest(e.to_string())
-                }
-                Err(e) => ShardReply::Error(format!("shard {}: put failed: {e}", data.id)),
-            }
-        }
+        ShardCmd::Put { table, row } => put_rows(data, table, &[row])
+            .pop()
+            .expect("one reply per row"),
         ShardCmd::Del { table, key } => {
             let Some(live) = data.live_tables.get(table) else {
                 return ShardReply::BadRequest(format!("unknown live table {table:?}"));
@@ -410,6 +460,195 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::ShardSetBuilder;
+    use leco_ingest::IngestConfig;
+    use std::path::{Path, PathBuf};
+
+    fn tmp_dir(name: &str) -> PathBuf {
+        let mut p = std::env::temp_dir();
+        p.push(format!("leco-server-shard-{}-{name}", std::process::id()));
+        std::fs::remove_dir_all(&p).ok();
+        p
+    }
+
+    /// One shard holding live tables `a(k, v)` and `b(k, v, w)`, compacted
+    /// only by `FLUSH`.
+    fn live_shard(dir: &Path) -> ShardData {
+        let config = IngestConfig {
+            segment_rows: 64,
+            compact_min_segments: 2,
+            row_group_size: 32,
+            auto_compact: false,
+            key_col: 0,
+        };
+        let mut set = ShardSetBuilder::new(dir, 1)
+            .live_table("a", &["k", "v"], config)
+            .live_table("b", &["k", "v", "w"], config)
+            .build()
+            .unwrap();
+        set.shards.pop().unwrap()
+    }
+
+    /// A seeded job mix over tables `a` and `b`: mostly `PUT`s, with `DEL`s,
+    /// `SCAN`s and one `FLUSH` among them, a wrong-arity `PUT` inside a run
+    /// of `PUT`s, and a `PUT` and a `SCAN` naming an unknown table.
+    fn job_mix(seed: u64) -> Vec<ShardCmd> {
+        let mut state = seed;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let mut cmds = Vec::new();
+        for i in 0..300u64 {
+            let table = if next(4) == 0 { "b" } else { "a" };
+            let width = if table == "a" { 2 } else { 3 };
+            cmds.push(match (i, next(16)) {
+                (100, _) => ShardCmd::Put {
+                    table: "a".into(),
+                    row: vec![1, 2, 3],
+                },
+                (150, _) => ShardCmd::Flush,
+                (200, _) => ShardCmd::Put {
+                    table: "nosuch".into(),
+                    row: vec![1, 2],
+                },
+                (201, _) => ShardCmd::Scan {
+                    table: "nosuch".into(),
+                    filter: None,
+                    agg: ScanAgg::Count,
+                },
+                (_, 0) => ShardCmd::Del {
+                    table: table.into(),
+                    key: next(40),
+                },
+                (_, 1) => ShardCmd::Scan {
+                    table: table.into(),
+                    filter: Some(("k".into(), 5, 25)),
+                    agg: ScanAgg::Sum("v".into()),
+                },
+                (_, 2) => ShardCmd::Scan {
+                    table: table.into(),
+                    filter: None,
+                    agg: ScanAgg::GroupByAvg("k".into(), "v".into()),
+                },
+                _ => ShardCmd::Put {
+                    table: table.into(),
+                    row: (0..width).map(|c| next(40) + 1_000 * c).collect(),
+                },
+            });
+        }
+        // The wrong-arity put sits inside a run of puts to `a`.
+        for i in [99, 101] {
+            cmds[i] = ShardCmd::Put {
+                table: "a".into(),
+                row: vec![7, i as u64],
+            };
+        }
+        cmds
+    }
+
+    /// What a `SCAN … FILTER k 5 25 SUM v` and a `COUNT` of `rows` answer.
+    fn model_scan(rows: &[Vec<u64>], filtered: bool) -> (u64, u128) {
+        let hits = rows
+            .iter()
+            .filter(|r| !filtered || (5..=25).contains(&r[0]));
+        (
+            hits.clone().count() as u64,
+            hits.map(|r| r[1] as u128).sum(),
+        )
+    }
+
+    #[test]
+    fn group_commit_answers_like_one_job_at_a_time() {
+        const SEED: u64 = 33;
+        let (twin_dir, dir) = (tmp_dir("oracle-twin"), tmp_dir("oracle-batched"));
+        let (twin, shard) = (live_shard(&twin_dir), live_shard(&dir));
+
+        // Oracle: every job through `execute`, one at a time, checked
+        // against an in-memory model of the rows queued before each scan.
+        let mut model: HashMap<&str, Vec<Vec<u64>>> = HashMap::new();
+        let cmds = job_mix(SEED);
+        let mut want = Vec::new();
+        for cmd in &cmds {
+            let reply = execute(&twin, cmd, 2);
+            match cmd {
+                ShardCmd::Put { table, row } if reply == ShardReply::Acked => {
+                    model.entry(table).or_default().push(row.clone())
+                }
+                ShardCmd::Del { table, key } => {
+                    assert_eq!(reply, ShardReply::Acked);
+                    model.entry(table).or_default().retain(|r| r[0] != *key);
+                }
+                ShardCmd::Scan { table, filter, .. } if table != "nosuch" => {
+                    let ShardReply::Scan(partial) = &reply else {
+                        panic!("scan of {table} answered {reply:?}");
+                    };
+                    let rows = model.get(table.as_str()).map_or(&[][..], Vec::as_slice);
+                    let (count, sum) = model_scan(rows, filter.is_some());
+                    assert_eq!(partial.rows_selected, count, "scan of {table}");
+                    if filter.is_some() {
+                        assert_eq!(partial.sum, sum, "scan of {table}");
+                    }
+                }
+                _ => {}
+            }
+            want.push(reply);
+        }
+        let puts = cmds
+            .iter()
+            .filter(|c| matches!(c, ShardCmd::Put { .. }))
+            .count() as u64;
+        assert!(matches!(want[100], ShardReply::BadRequest(_)));
+        assert_eq!(
+            (&want[99], &want[101]),
+            (&ShardReply::Acked, &ShardReply::Acked)
+        );
+
+        // The same jobs, queued up front and drained by the worker.
+        let (tx, rx) = mpsc::channel();
+        let mut reply_rxs = Vec::new();
+        for (tag, cmd) in job_mix(SEED).into_iter().enumerate() {
+            let (reply, reply_rx) = mpsc::channel();
+            tx.send(ShardJob { cmd, tag, reply }).unwrap();
+            reply_rxs.push(reply_rx);
+        }
+        drop(tx);
+        let commits_before = leco_obs::counter!("ing.wal_commits").value();
+        run_shard_worker(&shard, rx, 2);
+        let commits = leco_obs::counter!("ing.wal_commits").value() - commits_before;
+        let got: Vec<ShardReply> = reply_rxs
+            .iter()
+            .enumerate()
+            .map(|(tag, rx)| {
+                let (reply_tag, reply) = rx.try_recv().expect("every job is answered");
+                assert_eq!(reply_tag, tag);
+                reply
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert!(commits < puts, "{commits} WAL commits for {puts} puts");
+
+        // Final state: COUNT and SUM agree with the twin and the model.
+        for table in ["a", "b"] {
+            let sum = ShardCmd::Scan {
+                table: table.into(),
+                filter: None,
+                agg: ScanAgg::Sum("v".into()),
+            };
+            let (got, want) = (execute(&shard, &sum, 1), execute(&twin, &sum, 1));
+            assert_eq!(got, want, "final scan of {table}");
+            let (count, total) = model_scan(&model[table], false);
+            let ShardReply::Scan(partial) = got else {
+                panic!("final scan of {table} answered {got:?}");
+            };
+            assert_eq!((partial.rows_selected, partial.sum), (count, total));
+        }
+        drop((twin, shard));
+        std::fs::remove_dir_all(&twin_dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn routing_is_stable_and_in_range() {
