@@ -22,7 +22,8 @@
 
 use leco_bench::measure::timed;
 use leco_bench::report::{BenchReport, Json, TextTable};
-use leco_ingest::{IngestConfig, LiveTable, ScanOutput, ScanSpec};
+use leco_columnar::Partial;
+use leco_ingest::{IngestConfig, LiveTable, ScanSpec};
 
 /// Rows committed one-by-one (one fsync each) before batching takes over.
 const SINGLE_PUTS: usize = 512;
@@ -51,7 +52,7 @@ fn probes() -> [ScanSpec; 3] {
 
 /// Run every probe at every thread count, asserting bit-identity across
 /// thread counts, and return the single-threaded outputs as the signature.
-fn signature(table: &LiveTable, when: &str) -> Vec<ScanOutput> {
+fn signature(table: &LiveTable, when: &str) -> Vec<Partial> {
     let mut outs = Vec::new();
     for spec in probes() {
         let base = table.scan(&spec, 1).expect("scan should not fail");
@@ -63,8 +64,8 @@ fn signature(table: &LiveTable, when: &str) -> Vec<ScanOutput> {
             );
             assert_eq!(base.rows_selected, other.rows_selected, "{when}");
             assert_eq!(base.sum, other.sum, "{when}");
-            assert_eq!(base.group_partials, other.group_partials, "{when}");
-            for (a, b) in base.groups.iter().zip(&other.groups) {
+            assert_eq!(base.sorted_groups(), other.sorted_groups(), "{when}");
+            for (a, b) in base.group_avgs().iter().zip(&other.group_avgs()) {
                 assert_eq!(a.0, b.0, "{when}");
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "{when}: group {}", a.0);
             }
@@ -76,14 +77,14 @@ fn signature(table: &LiveTable, when: &str) -> Vec<ScanOutput> {
 
 /// `0` when two signatures agree on every exact integer partial, else the
 /// number of probes that diverged — the quantity the CI gate holds at zero.
-fn divergence(a: &[ScanOutput], b: &[ScanOutput]) -> u64 {
+fn divergence(a: &[Partial], b: &[Partial]) -> u64 {
     a.iter()
         .zip(b)
         .filter(|(x, y)| {
             x.rows_scanned != y.rows_scanned
                 || x.rows_selected != y.rows_selected
                 || x.sum != y.sum
-                || x.group_partials != y.group_partials
+                || x.groups != y.groups
         })
         .count() as u64
 }

@@ -14,8 +14,12 @@
 //!   explicitly passed scratch; they hold no references to the file and can
 //!   run on any thread,
 //! * **[`ScanScratch`]** bundles the per-worker mutable state the kernels
-//!   write into (decode buffers, a selection bitmap, partial aggregates and
+//!   write into (decode buffers, a selection bitmap, a [`Partial`] and
 //!   per-worker [`QueryStats`]),
+//! * **[`Partial`]** is the exact integer result every layer folds — morsel
+//!   into worker, worker into scan, file into live table, shard into reply —
+//!   with its one [`Partial::merge`]; [`Partial::group_avgs`] divides once,
+//!   at the end,
 //! * the **single-threaded drivers** ([`filter_range`], [`group_by_avg`],
 //!   [`sum_selected`]) iterate row groups and compose the kernels; the
 //!   `leco-scan` crate composes the same kernels from a worker pool.
@@ -91,6 +95,67 @@ impl QueryStats {
     }
 }
 
+/// Exact partial aggregates of a scan: what a morsel, a worker, a file, a
+/// live table and a shard each produce, and what every layer folds.
+///
+/// Every field is an exact integer, so [`Self::merge`] is associative and
+/// commutative and a result does not depend on how the work was split. The
+/// one lossy step, the f64 division of a group average, happens once, in
+/// [`Self::group_avgs`], after the last merge.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Partial {
+    /// Rows the scan covered. A static file counts the rows of its unpruned
+    /// row groups; a live table counts its live snapshot rows.
+    pub rows_scanned: u64,
+    /// Rows that passed the filter (all scanned rows when there is none).
+    pub rows_selected: u64,
+    /// Row groups of table files that survived zone-map pruning.
+    pub morsels: usize,
+    /// `SUM` partial.
+    pub sum: u128,
+    /// `GROUP BY` partials: id → (sum, count).
+    pub groups: HashMap<u64, (u128, u64)>,
+}
+
+impl Partial {
+    /// Fold `other` into `self` with exact integer arithmetic.
+    pub fn merge(&mut self, other: Partial) {
+        self.rows_scanned += other.rows_scanned;
+        self.rows_selected += other.rows_selected;
+        self.morsels += other.morsels;
+        self.sum += other.sum;
+        if self.groups.is_empty() {
+            self.groups = other.groups;
+            return;
+        }
+        for (id, (sum, count)) in other.groups {
+            let entry = self.groups.entry(id).or_insert((0, 0));
+            entry.0 += sum;
+            entry.1 += count;
+        }
+    }
+
+    /// `(id, avg)` pairs sorted by id: one division per group, after every
+    /// integer partial is merged.
+    pub fn group_avgs(&self) -> Vec<(u64, f64)> {
+        let groups = self.sorted_groups().into_iter();
+        groups
+            .map(|(id, sum, count)| (id, sum as f64 / count as f64))
+            .collect()
+    }
+
+    /// The `(id, sum, count)` group partials sorted by id.
+    pub fn sorted_groups(&self) -> Vec<(u64, u128, u64)> {
+        let mut out: Vec<(u64, u128, u64)> = self
+            .groups
+            .iter()
+            .map(|(&id, &(sum, count))| (id, sum, count))
+            .collect();
+        out.sort_unstable_by_key(|&(id, _, _)| id);
+        out
+    }
+}
+
 /// Per-worker mutable scan state: everything a morsel kernel writes into.
 ///
 /// A scan allocates one `ScanScratch` per worker thread and reuses it across
@@ -108,12 +173,8 @@ pub struct ScanScratch {
     /// Selection bitmap; morsel-local (`reset` per morsel) in parallel scans,
     /// table-global in the single-threaded drivers.
     pub sel: Bitmap,
-    /// Partial `GROUP BY` aggregates: id → (sum, count).
-    pub groups: HashMap<u64, (u128, u64)>,
-    /// Partial sum aggregate.
-    pub sum: u128,
-    /// Rows that passed the filter so far.
-    pub selected: u64,
+    /// This worker's partial aggregates.
+    pub partial: Partial,
     /// Per-worker time/IO accounting, merged into the query total at the end.
     pub stats: QueryStats,
 }
@@ -128,27 +189,9 @@ impl ScanScratch {
     /// Integer sums and counts merge exactly, which is what makes parallel
     /// results bit-identical to the single-threaded ones.
     pub fn merge(&mut self, other: ScanScratch) {
-        for (id, (sum, count)) in other.groups {
-            let entry = self.groups.entry(id).or_insert((0, 0));
-            entry.0 += sum;
-            entry.1 += count;
-        }
-        self.sum += other.sum;
-        self.selected += other.selected;
+        self.partial.merge(other.partial);
         self.stats.merge(&other.stats);
     }
-}
-
-/// Turn merged `GROUP BY` partials into the driver result shape: `(id, avg)`
-/// pairs sorted by id.  The division happens once, after all integer partials
-/// are merged, so the result does not depend on how work was split.
-pub fn finalize_group_avgs(groups: &HashMap<u64, (u128, u64)>) -> Vec<(u64, f64)> {
-    let mut out: Vec<(u64, f64)> = groups
-        .iter()
-        .map(|(&id, &(sum, count))| (id, sum as f64 / count as f64))
-        .collect();
-    out.sort_unstable_by_key(|&(id, _)| id);
-    out
 }
 
 /// Evaluate the range predicate over one encoded chunk, setting qualifying
@@ -379,11 +422,11 @@ pub fn group_by_avg(
             row_start,
             &mut scratch.decode,
             &mut scratch.decode2,
-            &mut scratch.groups,
+            &mut scratch.partial.groups,
         );
         stats.charge_cpu(cpu.elapsed_secs());
     }
-    Ok(finalize_group_avgs(&scratch.groups))
+    Ok(scratch.partial.group_avgs())
 }
 
 /// `GROUP BY`-average accumulation over one row group's id/value chunks.
@@ -632,7 +675,7 @@ mod tests {
                 &mut scratch.decode,
                 &mut scratch.stats,
             );
-            scratch.selected += scratch.sel.count_ones() as u64;
+            scratch.partial.rows_selected += scratch.sel.count_ones() as u64;
             let ids = reader.read_chunk(rg, 1, &mut scratch.stats).unwrap();
             let vals = reader.read_chunk(rg, 2, &mut scratch.stats).unwrap();
             group_by_avg_chunk(
@@ -642,20 +685,20 @@ mod tests {
                 0,
                 &mut scratch.decode,
                 &mut scratch.decode2,
-                &mut scratch.groups,
+                &mut scratch.partial.groups,
             );
-            scratch.sum += sum_selected_chunk(vals, &scratch.sel, 0, &mut scratch.decode);
+            scratch.partial.sum += sum_selected_chunk(vals, &scratch.sel, 0, &mut scratch.decode);
         }
-        let got = finalize_group_avgs(&scratch.groups);
+        let got = scratch.partial.group_avgs();
         let expected = reference_query(&ts, &id, &val, lo, hi);
         assert_eq!(got, expected);
         let expected_sum: u128 = (0..ts.len())
             .filter(|&i| (lo..=hi).contains(&ts[i]))
             .map(|i| val[i] as u128)
             .sum();
-        assert_eq!(scratch.sum, expected_sum);
+        assert_eq!(scratch.partial.sum, expected_sum);
         let expected_selected = ts.iter().filter(|&&t| (lo..=hi).contains(&t)).count() as u64;
-        assert_eq!(scratch.selected, expected_selected);
+        assert_eq!(scratch.partial.rows_selected, expected_selected);
         stats.merge(&scratch.stats);
         assert!(stats.chunks_read > 0);
         std::fs::remove_file(&path).ok();
@@ -664,26 +707,114 @@ mod tests {
     #[test]
     fn scratch_merge_combines_partials_exactly() {
         let mut a = ScanScratch::new();
-        a.groups.insert(1, (10, 2));
-        a.groups.insert(2, (5, 1));
-        a.sum = 100;
-        a.selected = 3;
+        a.partial.groups.insert(1, (10, 2));
+        a.partial.groups.insert(2, (5, 1));
+        a.partial.sum = 100;
+        a.partial.rows_selected = 3;
         let mut b = ScanScratch::new();
-        b.groups.insert(2, (7, 3));
-        b.groups.insert(3, (1, 1));
-        b.sum = 11;
-        b.selected = 4;
+        b.partial.groups.insert(2, (7, 3));
+        b.partial.groups.insert(3, (1, 1));
+        b.partial.sum = 11;
+        b.partial.rows_selected = 4;
         b.stats.io_bytes = 9;
         a.merge(b);
-        assert_eq!(a.groups[&1], (10, 2));
-        assert_eq!(a.groups[&2], (12, 4));
-        assert_eq!(a.groups[&3], (1, 1));
-        assert_eq!(a.sum, 111);
-        assert_eq!(a.selected, 7);
+        assert_eq!(a.partial.groups[&1], (10, 2));
+        assert_eq!(a.partial.groups[&2], (12, 4));
+        assert_eq!(a.partial.groups[&3], (1, 1));
+        assert_eq!(a.partial.sum, 111);
+        assert_eq!(a.partial.rows_selected, 7);
         assert_eq!(a.stats.io_bytes, 9);
-        let avgs = finalize_group_avgs(&a.groups);
+        let avgs = a.partial.group_avgs();
         assert_eq!(avgs[0], (1, 5.0));
         assert_eq!(avgs[1], (2, 3.0));
+    }
+
+    fn partial(
+        rows_selected: u64,
+        rows_scanned: u64,
+        morsels: usize,
+        sum: u128,
+        groups: &[(u64, u128, u64)],
+    ) -> Partial {
+        Partial {
+            rows_scanned,
+            rows_selected,
+            morsels,
+            sum,
+            groups: groups.iter().map(|&(id, s, c)| (id, (s, c))).collect(),
+        }
+    }
+
+    #[test]
+    fn partial_merge_is_exact_and_order_independent() {
+        let a = partial(10, 100, 2, 1 << 90, &[(1, 10, 2), (3, 30, 3)]);
+        let b = partial(5, 50, 1, 1, &[(1, 5, 1), (2, 20, 2), (4, 40, 4)]);
+        let mut ab = a.clone();
+        ab.merge(b.clone());
+        let mut ba = b.clone();
+        ba.merge(a.clone());
+        assert_eq!(ab, ba);
+        assert_eq!(ab.sum, (1u128 << 90) + 1);
+        assert_eq!(
+            (ab.rows_selected, ab.rows_scanned, ab.morsels),
+            (15, 150, 3)
+        );
+        assert_eq!(
+            ab.sorted_groups(),
+            vec![(1, 15, 3), (2, 20, 2), (3, 30, 3), (4, 40, 4)]
+        );
+        let avgs = ab.group_avgs();
+        assert_eq!(avgs[0], (1, 5.0));
+        // Merging an empty partial, on either side, changes nothing.
+        let mut empty = Partial::default();
+        empty.merge(ab.clone());
+        assert_eq!(empty, ab);
+        ab.merge(Partial::default());
+        assert_eq!(empty, ab);
+    }
+
+    #[test]
+    fn partial_merge_is_associative_above_u64() {
+        // Each sum alone fits in u64; together they overflow it. The group
+        // ids overlap (7 in a and b, 9 in a and c) and are disjoint (8).
+        let big = u64::MAX as u128;
+        let parts = [
+            partial(3, 4, 1, big, &[(7, big, 1), (9, 1, 1)]),
+            partial(2, 5, 2, big - 1, &[(7, big, 2)]),
+            partial(1, 6, 0, 2, &[(8, 2, 1), (9, big, 3)]),
+        ];
+        let fold = |order: [usize; 3]| {
+            let mut acc = Partial::default();
+            for i in order {
+                acc.merge(parts[i].clone());
+            }
+            acc
+        };
+        // a + (b + c) against (a + b) + c and every other order.
+        let mut bc = parts[1].clone();
+        bc.merge(parts[2].clone());
+        let mut a_bc = parts[0].clone();
+        a_bc.merge(bc);
+        for order in [
+            [0, 1, 2],
+            [1, 0, 2],
+            [2, 1, 0],
+            [1, 2, 0],
+            [2, 0, 1],
+            [0, 2, 1],
+        ] {
+            assert_eq!(fold(order), a_bc, "order {order:?}");
+        }
+        assert_eq!(a_bc.sum, 2 * big + 1);
+        assert!(a_bc.sum > u64::MAX as u128);
+        let groups = vec![(7, 2 * big, 3), (8, 2, 1), (9, big + 1, 4)];
+        assert_eq!(a_bc.sorted_groups(), groups);
+        let counts = (a_bc.rows_selected, a_bc.rows_scanned, a_bc.morsels);
+        assert_eq!(counts, (6, 15, 3));
+        // The averages divide the exact totals once.
+        let avgs = a_bc.group_avgs();
+        assert_eq!(avgs[0], (7, (2 * big) as f64 / 3.0));
+        assert_eq!(avgs[2], (9, (big + 1) as f64 / 4.0));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod table;
 pub mod wal;
 
 pub use manifest::Manifest;
-pub use scan::{Agg, ScanOutput, ScanSpec};
+pub use scan::{Agg, ScanSpec};
 pub use segment::{FrozenSegment, MemSegment};
 pub use stats::ColumnStats;
 pub use table::{CompactReport, IngestConfig, LiveTable, TableStats};

@@ -1,23 +1,23 @@
 //! Snapshot scans over a live table: memtable + frozen segments + compacted
-//! row groups, merged with exact integer partials.
+//! row groups, folded into one exact [`Partial`].
 //!
-//! Bit-identity contract: every partial aggregate is an exact integer — row
-//! counts in `u64`, sums in `u128`, group-by partials as `(sum: u128,
-//! count: u64)` — and the one lossy operation (the f64 division of a group
-//! average) happens exactly once, on the fully merged partials, via
-//! [`leco_columnar::exec::finalize_group_avgs`]. That is the same discipline
-//! `leco-scan` uses to merge morsels and `leco-server` uses to merge shards,
-//! so a live-table scan, a one-shot `Scanner`, and a sharded server scan all
-//! produce bit-identical answers over the same rows, regardless of how the
-//! rows happen to be spread across memtable, frozen segments and files.
+//! Bit-identity contract: every tier adds exact integers into the same
+//! [`Partial`] — row counts in `u64`, sums in `u128`, group-by partials as
+//! `(sum: u128, count: u64)` — and the one lossy operation (the f64 division
+//! of a group average) happens exactly once, on the fully merged partial,
+//! via [`Partial::group_avgs`]. `leco-scan` merges morsels and `leco-server`
+//! merges shards through the same [`Partial::merge`], so a live-table scan,
+//! a one-shot `Scanner`, and a sharded server scan all produce bit-identical
+//! answers over the same rows, regardless of how the rows happen to be
+//! spread across memtable, frozen segments and files.
 
 use crate::segment::FrozenSegment;
 use leco_columnar::exec::{
-    filter_chunk, finalize_group_avgs, group_by_avg_chunk, sum_selected_chunk, QueryStats,
+    filter_chunk, group_by_avg_chunk, sum_selected_chunk, Partial, QueryStats,
 };
 use leco_columnar::{Bitmap, TableFile};
-use leco_scan::Scanner;
-use std::collections::{HashMap, HashSet};
+use leco_scan::{ScanError, Scanner};
+use std::collections::HashSet;
 
 /// Aggregate requested by a [`ScanSpec`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -73,22 +73,6 @@ impl ScanSpec {
     }
 }
 
-/// Result of a live-table scan.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScanOutput {
-    /// Live rows in the scanned snapshot.
-    pub rows_scanned: u64,
-    /// Rows passing the filter.
-    pub rows_selected: u64,
-    /// Exact sum (for [`Agg::Sum`]).
-    pub sum: u128,
-    /// `(id, avg)` pairs sorted by id (for [`Agg::GroupAvg`]).
-    pub groups: Vec<(u64, f64)>,
-    /// The exact integer partials behind `groups`, sorted by id — what a
-    /// sharded merge combines before finalizing.
-    pub group_partials: Vec<(u64, u128, u64)>,
-}
-
 /// Resolved column indices for a spec (names checked once, up front).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedSpec {
@@ -108,7 +92,7 @@ pub(crate) fn resolve(spec: &ScanSpec, columns: &[String]) -> std::io::Result<Re
         columns.iter().position(|c| c == name).ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                format!("unknown column {name:?}"),
+                ScanError::ColumnNotFound(name.to_string()),
             )
         })
     };
@@ -127,34 +111,6 @@ pub(crate) fn resolve(spec: &ScanSpec, columns: &[String]) -> std::io::Result<Re
     Ok(ResolvedSpec { filter, agg })
 }
 
-/// Exact integer partial accumulator, merged across every data source.
-#[derive(Debug, Default)]
-pub(crate) struct Partials {
-    pub rows_scanned: u64,
-    pub rows_selected: u64,
-    pub sum: u128,
-    pub groups: HashMap<u64, (u128, u64)>,
-}
-
-impl Partials {
-    pub fn finish(self) -> ScanOutput {
-        let groups = finalize_group_avgs(&self.groups);
-        let mut group_partials: Vec<(u64, u128, u64)> = self
-            .groups
-            .into_iter()
-            .map(|(id, (sum, count))| (id, sum, count))
-            .collect();
-        group_partials.sort_unstable_by_key(|&(id, _, _)| id);
-        ScanOutput {
-            rows_scanned: self.rows_scanned,
-            rows_selected: self.rows_selected,
-            sum: self.sum,
-            groups,
-            group_partials,
-        }
-    }
-}
-
 /// Accumulate over in-memory row data (`columns` vectors), with an optional
 /// per-row alive test. Used for the memtable (`alive` = `None`) and frozen
 /// segments (`alive` = the segment's mask).
@@ -162,7 +118,7 @@ pub(crate) fn scan_rows(
     columns: &[Vec<u64>],
     alive: Option<&FrozenSegment>,
     spec: &ResolvedSpec,
-    acc: &mut Partials,
+    acc: &mut Partial,
 ) {
     let rows = columns.first().map_or(0, Vec::len);
     // One index walks several parallel column vectors; an iterator would
@@ -207,14 +163,13 @@ pub(crate) fn file_may_contain(file: &TableFile, key_col: usize, keys: &HashSet<
 }
 
 /// Scan one compacted file with no tombstones touching it: delegate to the
-/// existing morsel-driven [`Scanner`] at the requested thread count and fold
-/// its exact partials in.
+/// morsel-driven [`Scanner`] at the requested thread count. Every row of
+/// the file is live, so all of them count as scanned.
 pub(crate) fn scan_file_clean(
     file: &TableFile,
     spec: &ResolvedSpec,
     threads: usize,
-    acc: &mut Partials,
-) -> std::io::Result<()> {
+) -> std::io::Result<Partial> {
     let mut scanner = Scanner::new(file);
     if let Some((col, lo, hi)) = spec.filter {
         scanner = scanner.filter_col(col, lo, hi);
@@ -226,31 +181,26 @@ pub(crate) fn scan_file_clean(
             scanner = scanner.group_by_avg_cols(id_col, val_col)
         }
     }
-    let result = scanner
-        .run(threads.max(1))
-        .map_err(|e| std::io::Error::other(format!("scan failed: {e:?}")))?;
-    acc.rows_scanned += file.num_rows() as u64;
-    acc.rows_selected += result.rows_selected;
-    acc.sum += result.sum;
-    for (id, sum, count) in result.group_partials {
-        let entry = acc.groups.entry(id).or_insert((0, 0));
-        entry.0 += sum;
-        entry.1 += count;
-    }
-    Ok(())
+    let (mut partial, _) = scanner.run_partial(threads).map_err(|e| match e {
+        ScanError::Io(e) => e,
+        other => std::io::Error::other(other),
+    })?;
+    partial.rows_scanned = file.num_rows() as u64;
+    Ok(partial)
 }
 
 /// Scan one compacted file that tombstones may touch: build an alive bitmap
 /// from the key column (`key ∉ tombstones`), intersect it with the filter
 /// selection, and aggregate with the shared chunk kernels. Single-threaded —
 /// masked files exist only in the window between a delete and the next
-/// compaction.
+/// compaction. Row groups that survive the filter's zone maps count as
+/// morsels, as they do in a [`Scanner`] run.
 pub(crate) fn scan_file_masked(
     file: &TableFile,
     key_col: usize,
     tombstones: &HashSet<u64>,
     spec: &ResolvedSpec,
-    acc: &mut Partials,
+    acc: &mut Partial,
 ) -> std::io::Result<()> {
     let n = file.num_rows();
     let reader = file.chunk_reader()?;
@@ -283,6 +233,7 @@ pub(crate) fn scan_file_masked(
                 if zmax < lo || zmin > hi {
                     continue;
                 }
+                acc.morsels += 1;
                 let chunk = reader.read_chunk(rg, col, &mut stats)?;
                 let (row_start, _) = file.row_group_range(rg);
                 filter_chunk(
@@ -299,31 +250,29 @@ pub(crate) fn scan_file_masked(
             sel.and(&alive);
             sel
         }
-        None => alive,
+        None => {
+            acc.morsels += file.num_row_groups();
+            alive
+        }
     };
     acc.rows_selected += sel.count_ones() as u64;
 
-    match spec.agg {
-        ResolvedAgg::Count => {}
-        ResolvedAgg::Sum(col) => {
-            for rg in 0..file.num_row_groups() {
-                let (row_start, row_end) = file.row_group_range(rg);
-                if sel.count_ones_in(row_start, row_end) == 0 {
-                    continue;
-                }
+    let mut decode2: Vec<u64> = Vec::new();
+    for rg in 0..file.num_row_groups() {
+        let (row_start, row_end) = file.row_group_range(rg);
+        if sel.count_ones_in(row_start, row_end) == 0 {
+            continue;
+        }
+        match spec.agg {
+            ResolvedAgg::Count => {}
+            ResolvedAgg::Sum(col) => {
                 let chunk = reader.read_chunk(rg, col, &mut stats)?;
                 acc.sum += sum_selected_chunk(chunk, &sel, row_start, &mut decode);
             }
-        }
-        ResolvedAgg::GroupAvg { id_col, val_col } => {
-            let mut decode2: Vec<u64> = Vec::new();
-            for rg in 0..file.num_row_groups() {
-                let (row_start, row_end) = file.row_group_range(rg);
-                if sel.count_ones_in(row_start, row_end) == 0 {
-                    continue;
-                }
+            ResolvedAgg::GroupAvg { id_col, val_col } => {
                 let ids = reader.read_chunk(rg, id_col, &mut stats)?;
                 let vals = reader.read_chunk(rg, val_col, &mut stats)?;
+                let groups = &mut acc.groups;
                 group_by_avg_chunk(
                     ids,
                     vals,
@@ -331,7 +280,7 @@ pub(crate) fn scan_file_masked(
                     row_start,
                     &mut decode,
                     &mut decode2,
-                    &mut acc.groups,
+                    groups,
                 );
             }
         }

@@ -66,13 +66,12 @@
 
 use crate::manifest::{sync_dir, Manifest};
 use crate::scan::{
-    file_may_contain, resolve, scan_file_clean, scan_file_masked, scan_rows, Partials, ScanOutput,
-    ScanSpec,
+    file_may_contain, resolve, scan_file_clean, scan_file_masked, scan_rows, ScanSpec,
 };
 use crate::segment::{FrozenSegment, MemSegment};
 use crate::stats::ColumnStats;
 use crate::wal::{replay, ReplayReport, Wal, WalRecord};
-use leco_columnar::{Encoding, TableFile, TableFileOptions};
+use leco_columnar::{Encoding, Partial, TableFile, TableFileOptions};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
@@ -537,9 +536,13 @@ impl LiveTable {
     }
 
     /// Scan a consistent snapshot: memtable + frozen segments + compacted
-    /// files, merged with exact integer partials. `threads` parallelizes the
+    /// files, folded into one exact [`Partial`]. `threads` parallelizes the
     /// compacted-file portion through the `leco-scan` morsel engine.
-    pub fn scan(&self, spec: &ScanSpec, threads: usize) -> std::io::Result<ScanOutput> {
+    ///
+    /// `rows_scanned` counts the snapshot's live rows; `morsels` counts the
+    /// compacted-file row groups that survived zone-map pruning (memtable
+    /// and frozen rows add none).
+    pub fn scan(&self, spec: &ScanSpec, threads: usize) -> std::io::Result<Partial> {
         let inner = &self.inner;
         let resolved = resolve(spec, &inner.columns)?;
         let sw = leco_obs::Stopwatch::start();
@@ -553,7 +556,7 @@ impl LiveTable {
             (mem_columns, st.frozen.clone(), st.files.clone(), tombstones)
         };
 
-        let mut acc = Partials::default();
+        let mut acc = Partial::default();
         scan_rows(&mem_columns, None, &resolved, &mut acc);
         for seg in &frozen {
             scan_rows(seg.columns(), Some(seg), &resolved, &mut acc);
@@ -562,11 +565,11 @@ impl LiveTable {
             if file_may_contain(&file.table, inner.key_col, &tombstones) {
                 scan_file_masked(&file.table, inner.key_col, &tombstones, &resolved, &mut acc)?;
             } else {
-                scan_file_clean(&file.table, &resolved, threads, &mut acc)?;
+                acc.merge(scan_file_clean(&file.table, &resolved, threads)?);
             }
         }
         leco_obs::histogram!("ing.scan_secs").record_secs(sw.elapsed_secs());
-        Ok(acc.finish())
+        Ok(acc)
     }
 
     /// Current shape of the table (sizes, not contents).
@@ -1084,12 +1087,32 @@ mod tests {
         let out = table
             .scan(&ScanSpec::count().group_by_avg("id", "val"), 2)
             .unwrap();
-        let want = leco_columnar::exec::finalize_group_avgs(&expect);
-        assert_eq!(out.groups.len(), want.len());
-        for ((gid, gavg), (wid, wavg)) in out.groups.iter().zip(&want) {
-            assert_eq!(gid, wid);
-            assert_eq!(gavg.to_bits(), wavg.to_bits());
+        assert_eq!(out.groups, expect);
+        let got = out.group_avgs();
+        assert_eq!(got.len(), expect.len());
+        assert!(got.is_sorted_by_key(|&(id, _)| id));
+        for (id, avg) in got {
+            let (sum, count) = expect[&id];
+            assert_eq!(avg.to_bits(), (sum as f64 / count as f64).to_bits());
         }
+        drop(table);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_missing_compacted_file_surfaces_as_not_found() {
+        let dir = tmp_dir("missing-file");
+        let table = LiveTable::open(&dir, &["key", "id", "val"], manual_config()).unwrap();
+        put_all(&table, &sample_rows(120));
+        assert_eq!(table.flush().unwrap().files_written, 1);
+        std::fs::remove_file(dir.join(table_file_name(0))).unwrap();
+        let err = table.scan(&ScanSpec::count(), 2).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+        let message = err.to_string();
+        assert!(
+            !message.contains("Os {") && !message.contains("Io("),
+            "{message}"
+        );
         drop(table);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1100,7 +1123,9 @@ mod tests {
         let table = LiveTable::open(&dir, &["a", "b"], manual_config()).unwrap();
         assert!(table.put(&[1]).is_err());
         assert!(table.put(&[1, 2, 3]).is_err());
-        assert!(table.scan(&ScanSpec::count().sum("nosuch"), 1).is_err());
+        let err = table.scan(&ScanSpec::count().sum("nosuch"), 1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(err.to_string(), r#"column not found: "nosuch""#);
         drop(table);
         assert!(LiveTable::open(&dir, &["a", "c"], manual_config()).is_err());
         std::fs::remove_dir_all(&dir).ok();
@@ -1133,8 +1158,16 @@ mod tests {
             ScanSpec::count().filter("key", 100, 10_150).sum("val"),
             ScanSpec::count().group_by_avg("id", "val"),
         ];
-        let scans = |table: &LiveTable| -> Vec<ScanOutput> {
-            specs.iter().map(|s| table.scan(s, 2).unwrap()).collect()
+        // The answer, without `morsels`: flushing legitimately moves rows
+        // from memory (no morsels) into row groups.
+        let scans = |table: &LiveTable| -> Vec<Partial> {
+            specs
+                .iter()
+                .map(|s| Partial {
+                    morsels: 0,
+                    ..table.scan(s, 2).unwrap()
+                })
+                .collect()
         };
 
         let mut files = Vec::new();

@@ -3,13 +3,12 @@
 use crate::pool::{self, PoolError};
 use crate::prefetch::PrefetchBuffer;
 use leco_columnar::exec::{
-    filter_chunk, filter_chunk_pushdown, finalize_group_avgs, group_by_avg_chunk,
-    sum_selected_chunk,
+    filter_chunk, filter_chunk_pushdown, group_by_avg_chunk, sum_selected_chunk,
 };
-use leco_columnar::{ChunkReader, QueryStats, ScanScratch, TableFile};
+use leco_columnar::{ChunkReader, Partial, QueryStats, ScanScratch, TableFile};
 use leco_obs::Stopwatch;
 
-/// Errors surfaced by [`Scanner::run`].
+/// Errors surfaced by [`Scanner::run`] and [`Scanner::run_partial`].
 #[derive(Debug)]
 pub enum ScanError {
     /// Reading chunk bytes from the table file failed.
@@ -300,6 +299,22 @@ impl<'a> Scanner<'a> {
 
     /// Execute the scan on `n_threads` workers (clamped to at least 1).
     pub fn run(&self, n_threads: usize) -> Result<ScanResult, ScanError> {
+        let (partial, stats) = self.run_partial(n_threads)?;
+        Ok(ScanResult {
+            groups: partial.group_avgs(),
+            group_partials: partial.sorted_groups(),
+            sum: partial.sum,
+            rows_selected: partial.rows_selected,
+            rows_scanned: partial.rows_scanned,
+            morsels: partial.morsels,
+            stats,
+        })
+    }
+
+    /// Execute the scan on `n_threads` workers (clamped to at least 1) and
+    /// return its exact, unfinalized [`Partial`] with the merged accounting,
+    /// for callers that fold it with partials from elsewhere.
+    pub fn run_partial(&self, n_threads: usize) -> Result<(Partial, QueryStats), ScanError> {
         let n_threads = n_threads.max(1);
         let table = self.table;
         let mut sched_stats = QueryStats::default();
@@ -320,15 +335,7 @@ impl<'a> Scanner<'a> {
         // Every row group pruned: the answer is already known, so open no
         // reader and spawn no thread.
         if morsels.is_empty() {
-            return Ok(ScanResult {
-                groups: Vec::new(),
-                group_partials: Vec::new(),
-                sum: 0,
-                rows_selected: 0,
-                rows_scanned: 0,
-                morsels: 0,
-                stats: sched_stats,
-            });
+            return Ok((Partial::default(), sched_stats));
         }
         let columns = self.needed_columns();
         let reader = table.chunk_reader()?;
@@ -416,28 +423,7 @@ impl<'a> Scanner<'a> {
         }
         merged.stats.merge(&sched_stats);
         merged.stats.merge(&prefetch.drain_residual());
-        let rows_scanned: u64 = morsels
-            .iter()
-            .map(|&rg| {
-                let (s, e) = table.row_group_range(rg);
-                (e - s) as u64
-            })
-            .sum();
-        let mut group_partials: Vec<(u64, u128, u64)> = merged
-            .groups
-            .iter()
-            .map(|(&id, &(sum, count))| (id, sum, count))
-            .collect();
-        group_partials.sort_unstable_by_key(|&(id, _, _)| id);
-        Ok(ScanResult {
-            groups: finalize_group_avgs(&merged.groups),
-            group_partials,
-            sum: merged.sum,
-            rows_selected: merged.selected,
-            rows_scanned,
-            morsels: morsels.len(),
-            stats: merged.stats,
-        })
+        Ok((merged.partial, merged.stats))
     }
 
     /// One morsel: claim (or perform) the I/O, then run the per-chunk
@@ -477,6 +463,8 @@ impl<'a> Scanner<'a> {
 
         let (row_start, row_end) = self.table.row_group_range(rg);
         let rows = row_end - row_start;
+        scratch.partial.morsels += 1;
+        scratch.partial.rows_scanned += rows as u64;
         leco_obs::counter!("scan.morsel_rows").add(rows as u64);
         let cpu = Stopwatch::start();
 
@@ -528,7 +516,7 @@ impl<'a> Scanner<'a> {
         }
         drop(filter_span);
         let morsel_selected = scratch.sel.count_ones() as u64;
-        scratch.selected += morsel_selected;
+        scratch.partial.rows_selected += morsel_selected;
         leco_obs::counter!("scan.rows_selected").add(morsel_selected);
 
         // Aggregate over the selection.
@@ -537,7 +525,8 @@ impl<'a> Scanner<'a> {
             Aggregate::Count => {}
             Aggregate::Sum { col } => {
                 let chunk = self.table.chunk_encoded(rg, col);
-                scratch.sum += sum_selected_chunk(chunk, &scratch.sel, 0, &mut scratch.decode);
+                scratch.partial.sum +=
+                    sum_selected_chunk(chunk, &scratch.sel, 0, &mut scratch.decode);
             }
             Aggregate::GroupByAvg { id_col, val_col } => {
                 let ids = self.table.chunk_encoded(rg, id_col);
@@ -549,7 +538,7 @@ impl<'a> Scanner<'a> {
                     0,
                     &mut scratch.decode,
                     &mut scratch.decode2,
-                    &mut scratch.groups,
+                    &mut scratch.partial.groups,
                 );
             }
         }

@@ -20,11 +20,10 @@ use crate::protocol::{
     error_response, frame_into, ok_response, parse_request, response_code, FrameCursor, FrameError,
     Request,
 };
-use crate::shard::{
-    run_shard_worker, shard_for_key, Manifest, ShardCmd, ShardJob, ShardReply, ShardScanPartial,
-};
+use crate::shard::{run_shard_worker, shard_for_key, Manifest, ShardCmd, ShardJob, ShardReply};
 use crate::ShardSet;
 use leco_bench::report::Json;
+use leco_columnar::Partial;
 use leco_kvstore::Store;
 use leco_obs::Stopwatch;
 use std::io::{Read, Write};
@@ -575,15 +574,15 @@ fn assemble(kind: WaitKind, mut replies: Vec<(usize, ShardReply)>) -> Json {
             ])
         }
         WaitKind::Scan => {
-            let mut merged = ShardScanPartial::default();
+            let mut merged = Partial::default();
             let n_shards = replies.len();
             for (_, reply) in replies {
                 let ShardReply::Scan(partial) = reply else {
                     return error_response(500, "shard returned a mismatched reply");
                 };
-                merged.merge(&partial);
+                merged.merge(*partial);
             }
-            let groups = merged.finalize_groups();
+            let groups = merged.group_avgs();
             ok_response(vec![
                 (
                     "rows_selected".into(),

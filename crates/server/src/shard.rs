@@ -5,9 +5,10 @@
 //! [`ShardJob`]s.  Point lookups route to exactly one shard by key hash
 //! ([`shard_for_key`]) and read that shard's shared [`Store`] on the
 //! connection thread, never through a worker; scans fan out to every shard
-//! holding a slice of the table and come back as *integer partials*
-//! ([`ShardScanPartial`]) that the connection merges with exact arithmetic,
-//! so a sharded result is bit-identical to a single in-process scan.
+//! holding a slice of the table and come back as one exact integer
+//! [`Partial`] each, which the connection folds with [`Partial::merge`] and
+//! finalizes once, so a sharded result is bit-identical to a single
+//! in-process scan.
 //!
 //! A bad request (unknown table or column) and an internal failure both
 //! come back as replies, never as a dead worker: the worker loop only exits
@@ -15,7 +16,7 @@
 
 use crate::protocol::ScanAgg;
 use leco_bench::report::Json;
-use leco_columnar::TableFile;
+use leco_columnar::{Partial, TableFile};
 use leco_ingest::{Agg as IngestAgg, LiveTable, ScanSpec};
 use leco_kvstore::Store;
 use leco_scan::Scanner;
@@ -82,78 +83,11 @@ pub enum ShardCmd {
     Flush,
 }
 
-/// Exact partial aggregates of one shard's scan, merged by the connection.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ShardScanPartial {
-    /// Rows passing the filter on this shard.
-    pub rows_selected: u64,
-    /// Rows scanned after zone-map pruning on this shard.
-    pub rows_scanned: u64,
-    /// Morsels executed on this shard.
-    pub morsels: usize,
-    /// `SUM` partial.
-    pub sum: u128,
-    /// `(id, sum, count)` group-by partials, sorted by id.
-    pub groups: Vec<(u64, u128, u64)>,
-}
-
-impl ShardScanPartial {
-    /// Fold `other` into `self` with exact integer arithmetic.
-    pub fn merge(&mut self, other: &ShardScanPartial) {
-        self.rows_selected += other.rows_selected;
-        self.rows_scanned += other.rows_scanned;
-        self.morsels += other.morsels;
-        self.sum += other.sum;
-        // Merge two id-sorted partial lists.
-        let mut merged = Vec::with_capacity(self.groups.len() + other.groups.len());
-        let (mut a, mut b) = (
-            self.groups.iter().peekable(),
-            other.groups.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ia, sa, ca)), Some(&&(ib, sb, cb))) => {
-                    if ia == ib {
-                        merged.push((ia, sa + sb, ca + cb));
-                        a.next();
-                        b.next();
-                    } else if ia < ib {
-                        merged.push((ia, sa, ca));
-                        a.next();
-                    } else {
-                        merged.push((ib, sb, cb));
-                        b.next();
-                    }
-                }
-                (Some(_), None) => {
-                    merged.extend(a.by_ref().copied());
-                }
-                (None, Some(_)) => {
-                    merged.extend(b.by_ref().copied());
-                }
-                (None, None) => break,
-            }
-        }
-        self.groups = merged;
-    }
-
-    /// Finalise the group partials into `(id, avg)` rows — one division per
-    /// group, performed exactly once across the whole distributed scan.
-    pub fn finalize_groups(&self) -> Vec<(u64, f64)> {
-        let map: HashMap<u64, (u128, u64)> = self
-            .groups
-            .iter()
-            .map(|&(id, sum, count)| (id, (sum, count)))
-            .collect();
-        leco_columnar::exec::finalize_group_avgs(&map)
-    }
-}
-
 /// A shard's answer to one [`ShardCmd`].
 #[derive(Debug, PartialEq)]
 pub enum ShardReply {
     /// `Scan`: this shard's exact partials.
-    Scan(Box<ShardScanPartial>),
+    Scan(Box<Partial>),
     /// `Put` / `Del`: the write is durable (WAL fsync'd) on this shard.
     Acked,
     /// `Flush`: rows this shard moved into immutable table files.
@@ -328,22 +262,16 @@ fn execute_scan(
             Err(e) => return ShardReply::BadRequest(e.to_string()),
         },
     };
-    match scan.run(scan_threads) {
-        Ok(result) => ShardReply::Scan(Box::new(ShardScanPartial {
-            rows_selected: result.rows_selected,
-            rows_scanned: result.rows_scanned,
-            morsels: result.morsels,
-            sum: result.sum,
-            groups: result.group_partials,
-        })),
+    match scan.run_partial(scan_threads) {
+        Ok((partial, _)) => ShardReply::Scan(Box::new(partial)),
         Err(e) => ShardReply::Error(format!("shard {}: scan failed: {e}", data.id)),
     }
 }
 
 /// A shard-local scan over a live table: snapshot-consistent across
 /// memtable, frozen segments and compacted files, returning the same exact
-/// integer partials as a [`Scanner`] run — so a sharded scan of a live
-/// table merges bit-identically too.
+/// [`Partial`] as a [`Scanner`] run — so a sharded scan of a live table
+/// merges bit-identically too.
 fn execute_live_scan(
     shard_id: usize,
     live: &LiveTable,
@@ -364,13 +292,7 @@ fn execute_live_scan(
         },
     };
     match live.scan(&spec, scan_threads) {
-        Ok(out) => ShardReply::Scan(Box::new(ShardScanPartial {
-            rows_selected: out.rows_selected,
-            rows_scanned: out.rows_scanned,
-            morsels: 0,
-            sum: out.sum,
-            groups: out.group_partials,
-        })),
+        Ok(partial) => ShardReply::Scan(Box::new(partial)),
         Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
             ShardReply::BadRequest(e.to_string())
         }
@@ -666,35 +588,5 @@ mod tests {
             seen[shard_for_key(format!("user{i:08}").as_bytes(), 4)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn partial_merge_is_exact_and_order_independent() {
-        let a = ShardScanPartial {
-            rows_selected: 10,
-            rows_scanned: 100,
-            morsels: 2,
-            sum: 1 << 90,
-            groups: vec![(1, 10, 2), (3, 30, 3)],
-        };
-        let b = ShardScanPartial {
-            rows_selected: 5,
-            rows_scanned: 50,
-            morsels: 1,
-            sum: 1,
-            groups: vec![(1, 5, 1), (2, 20, 2), (4, 40, 4)],
-        };
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.sum, (1u128 << 90) + 1);
-        assert_eq!(
-            ab.groups,
-            vec![(1, 15, 3), (2, 20, 2), (3, 30, 3), (4, 40, 4)]
-        );
-        let avgs = ab.finalize_groups();
-        assert_eq!(avgs[0], (1, 5.0));
     }
 }

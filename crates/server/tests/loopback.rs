@@ -568,3 +568,92 @@ fn malformed_writes_get_400_and_the_connection_survives() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Row groups across every shard's compacted files of the live `events`
+/// table.
+fn live_row_groups(dir: &std::path::Path, shards: usize) -> usize {
+    (0..shards)
+        .flat_map(|k| std::fs::read_dir(dir.join(format!("live-events-s{k}"))).unwrap())
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "tbl"))
+        .map(|path| TableFile::open(&path).unwrap().num_row_groups())
+        .sum()
+}
+
+#[test]
+fn live_scan_counts_surviving_row_groups_as_morsels() {
+    let shards = 2;
+    let dir = tmp_dir("live-morsels");
+    let server = start_live_server(&dir, shards);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let n = 300u64;
+    for i in 0..n {
+        let (key, id, val) = live_row(i);
+        let reply = client
+            .request(&format!("PUT events {key} {id} {val}"))
+            .unwrap();
+        assert_eq!(response_code(&reply), 200, "{}", reply.render());
+    }
+    let morsels = |client: &mut Client, request: &str| {
+        let reply = client.request(request).unwrap();
+        assert_eq!(response_code(&reply), 200, "{}", reply.render());
+        assert_eq!(
+            reply.get("rows_scanned").and_then(Json::as_f64),
+            Some(n as f64),
+            "{request}: a live table scans every live row"
+        );
+        reply.get("morsels").and_then(Json::as_f64).unwrap()
+    };
+
+    // Memtable and frozen rows are not morsels.
+    assert_eq!(morsels(&mut client, "SCAN events"), 0.0);
+
+    let reply = client.request("FLUSH").unwrap();
+    assert_eq!(response_code(&reply), 200, "{}", reply.render());
+    let row_groups = live_row_groups(&dir, shards);
+    assert!(row_groups >= 1);
+    assert_eq!(morsels(&mut client, "SCAN events"), row_groups as f64);
+    assert_eq!(
+        morsels(&mut client, "SCAN events FILTER key 1000000 2000000"),
+        0.0,
+        "a filter every zone map misses runs no morsel"
+    );
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_column_answers_the_same_400_on_static_and_live_tables() {
+    let dir = tmp_dir("unknown-column");
+    let server = start_live_server(&dir, 2);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let reply = client.request("PUT events 1 2 3").unwrap();
+    assert_eq!(response_code(&reply), 200, "{}", reply.render());
+
+    for clause in [
+        "FILTER nosuch 1 2",
+        "SUM nosuch",
+        "GROUPBY nosuch AGG avg val",
+        "GROUPBY id AGG avg nosuch",
+    ] {
+        let replies: Vec<Json> = ["sensors", "events"]
+            .iter()
+            .map(|table| client.request(&format!("SCAN {table} {clause}")).unwrap())
+            .collect();
+        assert_eq!(response_code(&replies[0]), 400, "{clause}");
+        assert_eq!(
+            replies[0].get("error").and_then(Json::as_str),
+            Some(r#"column not found: "nosuch""#),
+            "{clause}"
+        );
+        assert_eq!(
+            replies[0].render(),
+            replies[1].render(),
+            "{clause}: static and live tables disagree"
+        );
+    }
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
