@@ -1,9 +1,11 @@
 //! Selection bitmaps used for late materialisation.
 //!
 //! Filters produce a [`Bitmap`] over row positions; downstream operators
-//! (group-by, aggregation) consult the bitmap and only decode qualifying
-//! positions, which is what makes random-access-friendly encodings such as
-//! FOR and LeCo shine on selective queries (§5.1).
+//! (group-by, aggregation) consult the bitmap. On a selective query they
+//! decode only the qualifying positions, which is what makes
+//! random-access-friendly encodings such as FOR and LeCo shine (§5.1); on a
+//! dense one they walk the bitmap's runs ([`Bitmap::for_each_run_in`]) over
+//! a bulk-decoded chunk.
 
 /// A fixed-length bitmap over row positions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -24,9 +26,7 @@ impl Bitmap {
     /// All-ones bitmap of `len` bits.
     pub fn all_set(len: usize) -> Self {
         let mut b = Self::new(len);
-        for i in 0..len {
-            b.set(i);
-        }
+        b.set_range(0, len);
         b
     }
 
@@ -72,9 +72,7 @@ impl Bitmap {
         if from >= to {
             return;
         }
-        let (w0, w1) = (from / 64, (to - 1) / 64);
-        let head = u64::MAX << (from % 64);
-        let tail = u64::MAX >> (63 - (to - 1) % 64);
+        let (w0, w1, head, tail) = word_span(from, to);
         if w0 == w1 {
             self.words[w0] |= head & tail;
         } else {
@@ -131,18 +129,17 @@ impl Bitmap {
         if from >= to {
             return 0;
         }
-        let mut count = 0usize;
-        let mut i = from;
-        while i < to {
-            if i.is_multiple_of(64) && i + 64 <= to {
-                count += self.words[i / 64].count_ones() as usize;
-                i += 64;
-            } else {
-                count += self.get(i) as usize;
-                i += 1;
-            }
+        let (w0, w1, head, tail) = word_span(from, to);
+        if w0 == w1 {
+            return (self.words[w0] & head & tail).count_ones() as usize;
         }
-        count
+        let inner: usize = self.words[w0 + 1..w1]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        (self.words[w0] & head).count_ones() as usize
+            + inner
+            + (self.words[w1] & tail).count_ones() as usize
     }
 
     /// True if no position in `[from, to)` is set — used for row-group
@@ -207,6 +204,73 @@ impl Bitmap {
             })
             .filter(move |&i| i < to)
     }
+
+    /// Call `f(start, end)` for every maximal run of set positions inside
+    /// `[from, to)`, in increasing order; `end` is exclusive.
+    ///
+    /// Works a word at a time: a full word extends the open run without
+    /// looking at its bits, and inside a mixed word each run costs two
+    /// bit scans. A run that crosses a word edge is reported once. This is
+    /// what lets the aggregation kernels loop over contiguous slices of a
+    /// decoded buffer instead of over single positions.
+    pub fn for_each_run_in(&self, from: usize, to: usize, mut f: impl FnMut(usize, usize)) {
+        let to = to.min(self.len);
+        if from >= to {
+            return;
+        }
+        let (w0, w1, head, tail) = word_span(from, to);
+        // Start of a run that reached the top bit of the previous word.
+        let mut open: Option<usize> = None;
+        for w in w0..=w1 {
+            let mut bits = self.words[w];
+            if w == w0 {
+                bits &= head;
+            }
+            if w == w1 {
+                bits &= tail;
+            }
+            let base = w * 64;
+            if bits == u64::MAX {
+                open.get_or_insert(base);
+                continue;
+            }
+            if let Some(start) = open.take() {
+                // `bits` is not all ones, so the open run ends in this word.
+                let ones = bits.trailing_ones();
+                f(start, base + ones as usize);
+                bits &= u64::MAX << ones;
+            }
+            while bits != 0 {
+                let lo = bits.trailing_zeros();
+                let hi = lo + (bits >> lo).trailing_ones();
+                if hi == 64 {
+                    open = Some(base + lo as usize);
+                    break;
+                }
+                f(base + lo as usize, base + hi as usize);
+                bits &= u64::MAX << hi;
+            }
+        }
+        if let Some(start) = open {
+            // Only a run that reaches bit 63 of the last word stays open, and
+            // `tail` keeps that bit only when `to` ends the word.
+            f(start, to);
+        }
+    }
+}
+
+/// Word indices and edge masks of the non-empty position range `[from, to)`:
+/// the first and last word it touches, the bits of the first word at and
+/// above `from`, and the bits of the last word below `to`.
+fn word_span(from: usize, to: usize) -> (usize, usize, u64, u64) {
+    debug_assert!(from < to);
+    let (w0, w1) = (from / 64, (to - 1) / 64);
+    (
+        w0,
+        w1,
+        u64::MAX << (from % 64),
+        u64::MAX >> (63 - (to - 1) % 64),
+    )
 }
 
 #[cfg(test)]
@@ -283,6 +347,11 @@ mod tests {
                 slow.set(i);
             }
             prop_assert_eq!(fast, slow);
+            let mut all = Bitmap::new(len);
+            for i in 0..len {
+                all.set(i);
+            }
+            prop_assert_eq!(Bitmap::all_set(len), all);
         }
     }
 
@@ -348,7 +417,9 @@ mod tests {
 
         #[test]
         fn prop_ranged_iter_matches_filtered_full_iter(
-            positions in proptest::collection::btree_set(0usize..500, 0..60),
+            // Up to 450 of 500 positions, so the head and tail words of a
+            // range are often dense.
+            positions in proptest::collection::btree_set(0usize..500, 0..450),
             from in 0usize..520,
             span in 0usize..200,
         ) {
@@ -359,6 +430,7 @@ mod tests {
             let to = from + span;
             let got: Vec<usize> = b.iter_ones_in(from, to).collect();
             let expected: Vec<usize> = b.iter_ones().filter(|&p| p >= from && p < to).collect();
+            prop_assert_eq!(b.count_ones_in(from, to), expected.len());
             prop_assert_eq!(got, expected);
         }
     }

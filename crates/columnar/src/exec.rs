@@ -1,8 +1,12 @@
 //! Compute kernels and query drivers for the §5.1 experiments.
 //!
 //! The engine uses late materialisation: the filter produces a selection
-//! [`Bitmap`], and the group-by / aggregation kernels only random-access the
-//! qualifying positions of the (still encoded) columns.  Every driver
+//! [`Bitmap`], and the group-by / aggregation kernels consume it per row
+//! group in one of two ways.  A sparse selection random-accesses only the
+//! qualifying positions of the (still encoded) columns; a dense one
+//! bulk-decodes the chunks and walks the selection run by run over the
+//! decoded buffers, and `GROUP BY` adds those runs into a dense per-chunk
+//! table when the chunk's ids span at most half its rows.  Every driver
 //! accumulates a [`QueryStats`] separating I/O time (reading chunk bytes from
 //! the data file) from CPU time (decoding + compute), which is the breakdown
 //! plotted in Figures 18, 19 and 21.
@@ -391,12 +395,20 @@ pub fn filter_range_pushdown(
 /// point access costs a model inference plus a positioned bit extract).
 const DENSE_DIVISOR: usize = 16;
 
+/// A dense `GROUP BY` chunk whose ids span at most `rows / TABLE_DIVISOR`
+/// aggregates into a table indexed by `id − min` instead of a `HashMap`.
+/// Each row then costs an indexed add, and the table's zeroing and its
+/// once-per-chunk fold into the map cost at most one slot per two rows, so
+/// even a full table stays well below the per-row SipHash lookups it
+/// replaces.
+const TABLE_DIVISOR: usize = 2;
+
 /// `SELECT AVG(val) ... GROUP BY id` over the positions selected by `bitmap`
 /// (the §5.1.1 query shape).  Returns `(id, average)` pairs.
 ///
-/// Sparse row groups random-access only the qualifying positions (late
-/// materialisation); dense row groups switch to the word-parallel bulk
-/// decode and index the decoded buffer instead.
+/// Composes [`group_by_avg_chunk`] per row group: sparse row groups
+/// random-access only the qualifying positions (late materialisation);
+/// dense row groups are bulk-decoded and aggregated run by run.
 pub fn group_by_avg(
     file: &TableFile,
     id_col: usize,
@@ -433,9 +445,23 @@ pub fn group_by_avg(
 ///
 /// Stateless per-morsel kernel: consults the selection positions
 /// `[base, base + ids.len())` of `sel`, accumulating integer `(sum, count)`
-/// partials into `groups`.  Sparse selections random-access only the
-/// qualifying positions (late materialisation); dense ones bulk-decode both
-/// chunks into the scratch buffers first.
+/// partials into `groups`.
+///
+/// * **Sparse** selections (fewer than one row in `DENSE_DIVISOR`)
+///   random-access only the qualifying positions (late materialisation) and
+///   add each row to `groups` directly.
+/// * **Dense** selections bulk-decode both chunks into the scratch buffers
+///   and walk the selection run by run ([`Bitmap::for_each_run_in`]),
+///   looping over contiguous slices of the decoded buffers. When the id
+///   chunk's span `max − min` is at most `rows / 2` (`TABLE_DIVISOR`), the
+///   rows land in a dense table indexed by `id − min` (a "perfect hash"
+///   read off the chunk's own min and max), and only the non-empty slots
+///   are added to `groups`, once per chunk. A wider span falls back to one
+///   `groups` entry per row.
+///
+/// The table holds the same exact `(u128 sum, u64 count)` pairs as
+/// `groups`, so both dense routes add up to the same integers as the sparse
+/// one.
 pub fn group_by_avg_chunk(
     ids: &EncodedColumn,
     vals: &EncodedColumn,
@@ -450,29 +476,55 @@ pub fn group_by_avg_chunk(
     if selected == 0 {
         return;
     }
-    let dense = selected * DENSE_DIVISOR >= rows;
-    if dense {
-        id_buf.clear();
-        val_buf.clear();
-        ids.decode_into(id_buf);
-        vals.decode_into(val_buf);
+    if selected * DENSE_DIVISOR < rows {
+        for pos in sel.iter_ones_in(base, base + rows) {
+            let local = pos - base;
+            add_to_group(groups, ids.get(local), vals.get(local) as u128, 1);
+        }
+        return;
     }
-    for pos in sel.iter_ones_in(base, base + rows) {
-        let local = pos - base;
-        let (id, val) = if dense {
-            (id_buf[local], val_buf[local])
-        } else {
-            (ids.get(local), vals.get(local))
-        };
-        let entry = groups.entry(id).or_insert((0, 0));
-        entry.0 += val as u128;
-        entry.1 += 1;
+    id_buf.clear();
+    val_buf.clear();
+    ids.decode_into(id_buf);
+    vals.decode_into(val_buf);
+    let (id_buf, val_buf) = (&id_buf[..], &val_buf[..]);
+    let (min, max) = id_buf
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &id| (lo.min(id), hi.max(id)));
+    if max - min <= (rows / TABLE_DIVISOR) as u64 {
+        let mut table = vec![(0u128, 0u64); (max - min) as usize + 1];
+        sel.for_each_run_in(base, base + rows, |from, to| {
+            let (from, to) = (from - base, to - base);
+            for (&id, &val) in id_buf[from..to].iter().zip(&val_buf[from..to]) {
+                let slot = &mut table[(id - min) as usize];
+                slot.0 += val as u128;
+                slot.1 += 1;
+            }
+        });
+        for (offset, (sum, count)) in table.into_iter().enumerate() {
+            if count > 0 {
+                add_to_group(groups, min + offset as u64, sum, count);
+            }
+        }
+    } else {
+        sel.for_each_run_in(base, base + rows, |from, to| {
+            let (from, to) = (from - base, to - base);
+            for (&id, &val) in id_buf[from..to].iter().zip(&val_buf[from..to]) {
+                add_to_group(groups, id, val as u128, 1);
+            }
+        });
     }
 }
 
+fn add_to_group(groups: &mut HashMap<u64, (u128, u64)>, id: u64, sum: u128, count: u64) {
+    let entry = groups.entry(id).or_insert((0, 0));
+    entry.0 += sum;
+    entry.1 += count;
+}
+
 /// Bitmap aggregation (§5.1.2): sum of the selected positions of one column.
-/// Row groups whose bitmap slice is all zero are skipped entirely; dense row
-/// groups are bulk-decoded with the word-parallel path before summing.
+/// Row groups whose bitmap slice is all zero are skipped entirely; the rest
+/// go through [`sum_selected_chunk`].
 pub fn sum_selected(
     file: &TableFile,
     col: usize,
@@ -500,7 +552,10 @@ pub fn sum_selected(
 /// selection positions `[base, base + chunk.len())` of `sel`.
 ///
 /// Stateless per-morsel kernel with the same dense/sparse split as
-/// [`group_by_avg_chunk`]; `buf` is the reusable bulk-decode scratch.
+/// [`group_by_avg_chunk`]: a sparse selection random-accesses each
+/// qualifying position; a dense one bulk-decodes into `buf` (reusable
+/// scratch) and sums the decoded slice of every run of the selection
+/// ([`Bitmap::for_each_run_in`]).
 pub fn sum_selected_chunk(
     chunk: &EncodedColumn,
     sel: &Bitmap,
@@ -512,20 +567,21 @@ pub fn sum_selected_chunk(
     if selected == 0 {
         return 0;
     }
-    let dense = selected * DENSE_DIVISOR >= rows;
-    if dense {
-        buf.clear();
-        chunk.decode_into(buf);
+    if selected * DENSE_DIVISOR < rows {
+        return sel
+            .iter_ones_in(base, base + rows)
+            .map(|pos| chunk.get(pos - base) as u128)
+            .sum();
     }
+    buf.clear();
+    chunk.decode_into(buf);
     let mut total: u128 = 0;
-    for pos in sel.iter_ones_in(base, base + rows) {
-        let local = pos - base;
-        total += if dense {
-            buf[local] as u128
-        } else {
-            chunk.get(local) as u128
-        };
-    }
+    sel.for_each_run_in(base, base + rows, |from, to| {
+        total += buf[from - base..to - base]
+            .iter()
+            .map(|&v| v as u128)
+            .sum::<u128>();
+    });
     total
 }
 
