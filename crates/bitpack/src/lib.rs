@@ -41,6 +41,8 @@
 //! assert_eq!(out, values);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod bitvec;
 pub mod filter;
 pub mod packed;

@@ -7,18 +7,27 @@
 //! word indices, shift amounts and the straddle decision constant-fold away
 //! and the inner loops compile to straight-line shift/or/mask code.
 //!
-//! Two kernels cooperate:
+//! Three kernels cooperate, chosen per call:
 //!
-//! * a fully unrolled *block* kernel that decodes 64 values from exactly
-//!   `width` consecutive words (usable whenever the run starts on a word
-//!   boundary), and
-//! * a *streaming* kernel holding a 128-bit bit buffer that handles arbitrary
+//! * on x86-64 CPUs with AVX2 (detected at run time), a *gather* kernel
+//!   decodes four values per step at any start phase for widths 1..=56: each
+//!   lane loads the 8 bytes at its value's byte offset, shifts right by the
+//!   bit phase within that byte (at most 7) and masks to the width;
+//! * a fully unrolled *block* kernel decodes 64 values from exactly `width`
+//!   consecutive words.  It serves word-aligned runs whenever the gather
+//!   kernel does not (widths above 56, no AVX2, and width 1, where it
+//!   measures faster);
+//! * a *streaming* kernel holding a 128-bit bit buffer handles arbitrary
 //!   start phases and tail lengths without ever re-deriving word positions.
+//!   It finishes whatever the other two leave, and decodes everything on
+//!   CPUs and targets without AVX2.
 //!
-//! [`unpack_bits_into`] is the only entry point; every sequential decode in
-//! the workspace (LeCo partitions, FOR frames, Delta gap arrays, dictionary
-//! codes) funnels through it.  See `docs/FORMAT.md` for how the packed
-//! payload these kernels read is laid out on disk.
+//! All three read the same bits and are bit-identical; the streaming kernel
+//! is the oracle the others are tested against.  [`unpack_bits_into`] is the
+//! only entry point; every sequential decode in the workspace (LeCo
+//! partitions, FOR frames, Delta gap arrays, dictionary codes) funnels
+//! through it.  See `docs/FORMAT.md` for how the packed payload these
+//! kernels read is laid out on disk.
 
 /// Mask selecting the low `W` bits (`W` in `1..=64`).
 #[inline(always)]
@@ -118,12 +127,22 @@ fn unpack_delta_stream<const W: u32>(
     *acc = current;
 }
 
-/// Monomorphised driver: word-aligned prefixes go through the unrolled block
-/// kernel in 64-value chunks, everything else through the streaming kernel.
+/// Monomorphised driver.  Word-aligned runs go through the unrolled block
+/// kernel in 64-value chunks where it beats the gather kernel (see
+/// [`block_first`]); otherwise the gather kernel takes the longest prefix it
+/// may read in bounds.  The streaming kernel finishes the rest.
 fn unpack_width<const W: u32>(words: &[u64], bit_pos: usize, out: &mut [u64]) {
     let mut pos = bit_pos;
     let mut rest = out;
-    if pos & 63 == 0 {
+    let done = if pos & 63 == 0 && block_first(W) {
+        0
+    } else {
+        simd::unpack_prefix(words, pos, W, rest)
+    };
+    if done > 0 {
+        pos += done * W as usize;
+        rest = &mut rest[done..];
+    } else if pos & 63 == 0 {
         let blocks = rest.len() / 64;
         let (head, tail) = rest.split_at_mut(blocks * 64);
         let mut wi = pos >> 6;
@@ -138,10 +157,115 @@ fn unpack_width<const W: u32>(words: &[u64], bit_pos: usize, out: &mut [u64]) {
     unpack_stream::<W>(words, pos, rest);
 }
 
+/// Whether a word-aligned run of width `width` takes the block kernel even
+/// when the gather kernel is available.  Width 1 packs 64 values per word,
+/// so one word read feeds the whole unrolled block; from width 2 on the
+/// gather kernel is faster (per-width table in `CHANGES.md`).
+const fn block_first(width: u32) -> bool {
+    width == 1
+}
+
+/// The AVX2 gather kernel and its run-time dispatch.  This module holds the
+/// crate's only `unsafe` code.
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_i64gather_epi64, _mm256_set1_epi64x,
+        _mm256_set_epi64x, _mm256_srli_epi64, _mm256_srlv_epi64, _mm256_storeu_si256,
+    };
+
+    /// Widest value the kernel decodes: a value starts at most 7 bits into
+    /// its first byte, so `7 + 56` bits fit the 8-byte window each lane
+    /// loads.
+    pub(super) const MAX_WIDTH: u32 = 56;
+
+    /// Whether the running CPU has AVX2 (the result is cached by `std`).
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+
+    /// Decode the longest prefix of `out` that the gather kernel can read
+    /// in bounds (a multiple of four values) and return its length: 0 when
+    /// the CPU lacks AVX2 or `width` is outside `1..=MAX_WIDTH`.
+    #[inline]
+    pub(super) fn unpack_prefix(
+        words: &[u64],
+        bit_pos: usize,
+        width: u32,
+        out: &mut [u64],
+    ) -> usize {
+        if width == 0 || width > MAX_WIDTH || !available() {
+            return 0;
+        }
+        // SAFETY: `unpack_avx2` needs only AVX2, detected at run time just
+        // above; it bounds its own reads (see its in-bounds guard).
+        unsafe { unpack_avx2(words, bit_pos, width, out) }
+    }
+
+    /// Gather kernel: writes `out[j]` for `j < n` and returns `n`, the
+    /// largest multiple of four not above `out.len()` such that every one of
+    /// those values' 8-byte windows lies inside `words`.  `width` must be in
+    /// `1..=MAX_WIDTH`.
+    ///
+    /// A `#[target_feature]` function: calling it is `unsafe` and sound only
+    /// once AVX2 has been detected on the running CPU.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn unpack_avx2(words: &[u64], bit_pos: usize, width: u32, out: &mut [u64]) -> usize {
+        debug_assert!((1..=MAX_WIDTH).contains(&width), "width {width}");
+        let w = width as usize;
+        // In-bounds guard: value `j`'s window is the 8 bytes from byte
+        // `(bit_pos + j·w) >> 3`, so it fits iff `bit_pos + j·w` is at most
+        // `last_start`, the last bit of the byte that starts the payload's
+        // last 8-byte window.
+        let last_start = (words.len() * 8).checked_sub(8).map(|byte| byte * 8 + 7);
+        let in_bounds = match last_start {
+            Some(last) if bit_pos <= last => (last - bit_pos) / w + 1,
+            _ => 0,
+        };
+        let n = in_bounds.min(out.len()) & !3;
+        let base = words.as_ptr().cast::<i64>();
+        let lane = |j: usize| (bit_pos + j * w) as i64;
+        let mut bits = _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0));
+        let step = _mm256_set1_epi64x(4 * w as i64);
+        let phase = _mm256_set1_epi64x(7);
+        let mask = _mm256_set1_epi64x(super::low_mask(width) as i64);
+        for quad in out[..n].chunks_exact_mut(4) {
+            let bytes = _mm256_srli_epi64::<3>(bits);
+            // SAFETY: each lane reads the 8 bytes from `base + bytes`, and
+            // the guard above puts every such window of the first `n` values
+            // inside `words`; the gather has no alignment requirement.
+            let raw = unsafe { _mm256_i64gather_epi64::<1>(base, bytes) };
+            let v = _mm256_and_si256(_mm256_srlv_epi64(raw, _mm256_and_si256(bits, phase)), mask);
+            // SAFETY: `quad` is four `u64`s, the 32 bytes the unaligned
+            // store writes.
+            unsafe { _mm256_storeu_si256(quad.as_mut_ptr().cast::<__m256i>(), v) };
+            bits = _mm256_add_epi64(bits, step);
+        }
+        n
+    }
+}
+
+/// Targets other than x86-64 have no gather kernel.
+#[cfg(not(target_arch = "x86_64"))]
+mod simd {
+    pub(super) fn unpack_prefix(_: &[u64], _: usize, _: u32, _: &mut [u64]) -> usize {
+        0
+    }
+}
+
+/// `$kernel::<W>(args..)` for the runtime `width` in `1..=64`: one
+/// monomorphised kernel per width.
 macro_rules! dispatch_width {
-    ($width:expr, $words:expr, $bit_pos:expr, $out:expr; $($w:literal)*) => {
+    ($kernel:ident, $width:expr, $args:tt) => {
+        dispatch_width!(@ $kernel, $width, $args;
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+            17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+            33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48
+            49 50 51 52 53 54 55 56 57 58 59 60 61 62 63 64)
+    };
+    (@ $kernel:ident, $width:expr, $args:tt; $($w:literal)*) => {
         match $width {
-            $( $w => unpack_width::<$w>($words, $bit_pos, $out), )*
+            $( $w => $kernel::<$w> $args, )*
             _ => unreachable!("width checked to be 1..=64"),
         }
     };
@@ -188,20 +312,7 @@ pub fn unpack_bits_into(words: &[u64], bit_pos: usize, width: u8, out: &mut [u64
         words.len() * 64
     );
     let width = width as u32;
-    dispatch_width!(width, words, bit_pos, out;
-        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
-        17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
-        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48
-        49 50 51 52 53 54 55 56 57 58 59 60 61 62 63 64);
-}
-
-macro_rules! dispatch_delta_width {
-    ($width:expr, $words:expr, $bit_pos:expr, $acc:expr, $out:expr; $($w:literal)*) => {
-        match $width {
-            $( $w => unpack_delta_stream::<$w>($words, $bit_pos, $acc, $out), )*
-            _ => unreachable!("width checked to be 1..=64"),
-        }
-    };
+    dispatch_width!(unpack_width, width, (words, bit_pos, out));
 }
 
 /// Reconstruct `out.len()` delta-coded values whose `width`-bit ZigZag gaps
@@ -251,11 +362,7 @@ pub fn unpack_deltas_into(words: &[u64], bit_pos: usize, width: u8, anchor: u64,
     );
     let width = width as u32;
     let mut acc = anchor;
-    dispatch_delta_width!(width, words, bit_pos, &mut acc, out;
-        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
-        17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
-        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48
-        49 50 51 52 53 54 55 56 57 58 59 60 61 62 63 64);
+    dispatch_width!(unpack_delta_stream, width, (words, bit_pos, &mut acc, out));
 }
 
 #[cfg(test)]
@@ -301,6 +408,128 @@ mod tests {
                             expected
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The AVX2 gather kernel, called directly rather than through
+    /// dispatch.
+    #[cfg(target_arch = "x86_64")]
+    mod avx2 {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The gather kernel's route as [`unpack_width`] takes it off a word
+        /// boundary: the kernel's in-bounds prefix, then the streaming kernel.
+        /// Returns the prefix length.
+        fn avx2_then_stream(words: &[u64], bit_pos: usize, width: u8, out: &mut [u64]) -> usize {
+            let w = width as u32;
+            let done = if w <= simd::MAX_WIDTH {
+                // SAFETY: callers run this only after `simd::available()`.
+                unsafe { simd::unpack_avx2(words, bit_pos, w, out) }
+            } else {
+                0
+            };
+            let rest = &mut out[done..];
+            dispatch_width!(
+                unpack_stream,
+                w,
+                (words, bit_pos + done * width as usize, rest)
+            );
+            done
+        }
+
+        /// The streaming kernel alone: the oracle.
+        fn stream_only(words: &[u64], bit_pos: usize, width: u8, out: &mut [u64]) {
+            dispatch_width!(unpack_stream, width as u32, (words, bit_pos, out));
+        }
+
+        /// How many values the gather kernel must take: the largest multiple of
+        /// four not above `n` whose 8-byte windows all lie inside `words`.
+        fn gather_prefix(words: &[u64], bit_pos: usize, width: u8, n: usize) -> usize {
+            if width as u32 > 56 {
+                return 0;
+            }
+            let fits = |j: usize| (bit_pos + j * width as usize) / 8 + 8 <= words.len() * 8;
+            (0..n).take_while(|&j| fits(j)).count() & !3
+        }
+
+        /// Whether the gather kernel can run here; prints the route `test` takes
+        /// the first time `printed` is passed in.
+        fn avx2_route(test: &str, printed: &std::sync::Once) -> bool {
+            let avx2 = simd::available();
+            printed.call_once(|| {
+                if avx2 {
+                    println!("{test}: unpack route: avx2");
+                } else {
+                    println!("{test}: unpack route: scalar (this CPU has no AVX2; skipped)");
+                }
+            });
+            avx2
+        }
+
+        #[test]
+        fn avx2_matches_stream_and_read_bits_at_every_width_and_phase() {
+            let test = "avx2_matches_stream_and_read_bits_at_every_width_and_phase";
+            if !avx2_route(test, &std::sync::Once::new()) {
+                return;
+            }
+            for width in 1u8..=64 {
+                for phase in 0usize..64 {
+                    for &n in &[0usize, 1, 3, 4, 5, 63, 64, 65, 129, 200] {
+                        let values = sample_values(n, width);
+                        // Sized exactly, so the last windows end at the payload's end.
+                        let words = pack_at(&values, width, phase);
+                        let mut got = vec![u64::MAX; n];
+                        let done = avx2_then_stream(&words, phase, width, &mut got);
+                        let ctx = format!("width {width} phase {phase} n {n}");
+                        assert_eq!(
+                            done,
+                            gather_prefix(&words, phase, width, n),
+                            "{ctx}: prefix"
+                        );
+                        let mut want = vec![0u64; n];
+                        stream_only(&words, phase, width, &mut want);
+                        assert_eq!(got, want, "{ctx}: vs stream");
+                        assert_eq!(got, values, "{ctx}: vs packed values");
+                        for (i, &v) in got.iter().enumerate() {
+                            assert_eq!(
+                                read_bits(&words, phase + i * width as usize, width),
+                                v,
+                                "{ctx} at {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn prop_avx2_matches_stream_and_read_bits(
+                width in 1u8..=64,
+                phase in 0usize..300,
+                n in 0usize..300,
+                slack in 0usize..3,
+                seed in any::<u64>(),
+            ) {
+                static PRINTED: std::sync::Once = std::sync::Once::new();
+                if !avx2_route("prop_avx2_matches_stream_and_read_bits", &PRINTED) {
+                    return;
+                }
+                let len = crate::div_ceil(phase + n * width as usize, 64) + slack;
+                let words: Vec<u64> = (0..len as u64)
+                    .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left((seed % 64) as u32))
+                    .collect();
+                let mut got = vec![u64::MAX; n];
+                let done = avx2_then_stream(&words, phase, width, &mut got);
+                prop_assert_eq!(done, gather_prefix(&words, phase, width, n));
+                let mut want = vec![0u64; n];
+                stream_only(&words, phase, width, &mut want);
+                prop_assert_eq!(&got, &want);
+                for (i, &v) in got.iter().enumerate() {
+                    prop_assert_eq!(read_bits(&words, phase + i * width as usize, width), v);
                 }
             }
         }

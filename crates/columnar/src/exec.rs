@@ -455,7 +455,8 @@ pub fn group_by_avg(
 ///   looping over contiguous slices of the decoded buffers. When the id
 ///   chunk's span `max − min` is at most `rows / 2` (`TABLE_DIVISOR`), the
 ///   rows land in a dense table indexed by `id − min` (a "perfect hash"
-///   read off the chunk's own min and max), and only the non-empty slots
+///   read off the chunk's own min and max), one add per piece of equal
+///   consecutive ids within a run, and only the non-empty slots
 ///   are added to `groups`, once per chunk. A wider span falls back to one
 ///   `groups` entry per row.
 ///
@@ -493,12 +494,22 @@ pub fn group_by_avg_chunk(
         .fold((u64::MAX, 0), |(lo, hi), &id| (lo.min(id), hi.max(id)));
     if max - min <= (rows / TABLE_DIVISOR) as u64 {
         let mut table = vec![(0u128, 0u64); (max - min) as usize + 1];
+        // Each selection run is cut where the id changes; a piece of equal
+        // ids is summed in a register and added to its slot once.
         sel.for_each_run_in(base, base + rows, |from, to| {
             let (from, to) = (from - base, to - base);
-            for (&id, &val) in id_buf[from..to].iter().zip(&val_buf[from..to]) {
+            let (ids, vals) = (&id_buf[from..to], &val_buf[from..to]);
+            let mut i = 0;
+            while i < ids.len() {
+                let (id, mut sum, mut end) = (ids[i], vals[i] as u128, i + 1);
+                while end < ids.len() && ids[end] == id {
+                    sum += vals[end] as u128;
+                    end += 1;
+                }
                 let slot = &mut table[(id - min) as usize];
-                slot.0 += val as u128;
-                slot.1 += 1;
+                slot.0 += sum;
+                slot.1 += (end - i) as u64;
+                i = end;
             }
         });
         for (offset, (sum, count)) in table.into_iter().enumerate() {

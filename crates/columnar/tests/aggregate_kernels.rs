@@ -13,8 +13,9 @@
 //! edges, alternating bits and densities on both sides of the one-in-16
 //! dense threshold; `base` offsets that are not a multiple of 64, with set
 //! bits outside the chunk that the kernels must ignore; id spans just
-//! below, at and above the dense bound; and ids and values near `u64::MAX`,
-//! so that a group's sum passes 2^64. The property tests honour
+//! below, at and above the dense bound; runs of equal ids inside and across
+//! selection runs; and ids and values near `u64::MAX`, so that a group's sum
+//! passes 2^64. The property tests honour
 //! `PROPTEST_CASES` (CI: 2048).
 
 use leco_codecs::{DeltaCodec, ForCodec, OpDict};
@@ -267,6 +268,35 @@ fn single_row_and_word_sized_chunks() {
                     base,
                     &format!("rows {rows}, base {base}"),
                 );
+            }
+        }
+    }
+}
+
+/// The group table adds each piece of equal consecutive ids within a
+/// selection run once: ids that alternate (pieces of one row), runs of
+/// equal ids that a selection-run edge cuts in two, and one id throughout.
+#[test]
+fn equal_id_pieces_inside_and_across_selection_runs() {
+    let rows = 1_000;
+    let vals = huge_values(rows);
+    let id_sets: [(&str, Vec<u64>); 3] = [
+        ("alternating", (0..rows as u64).map(|i| i % 2).collect()),
+        (
+            "runs of 37",
+            (0..rows as u64).map(|i| 5 + i / 37 % 9).collect(),
+        ),
+        ("one id", vec![42; rows]),
+    ];
+    for (ids_name, ids) in &id_sets {
+        for base in [0, 3, 64] {
+            let mut picks = selections(rows);
+            // Selection runs of 50 rows: their edges fall inside id runs.
+            picks.push(("runs of 50".into(), Box::new(|i| i % 53 < 50)));
+            for (name, chunk) in picks {
+                let sel = selection(base, rows, chunk);
+                let label = format!("{ids_name}, base {base}, {name}");
+                check(ids, &vals, &sel, base, &label);
             }
         }
     }

@@ -357,8 +357,11 @@ impl CompressedColumn {
     /// path: the packed deltas are unpacked straight into the output buffer
     /// by [`leco_bitpack::unpack_bits_into`] (several values per word read),
     /// then the prediction and bias are folded in with one in-place pass.
-    /// Linear partitions whose predictions stay below 2^51 take a loop the
-    /// baseline target vectorises (`model::reconstruct_linear_span`);
+    /// Both passes are chosen at run time: on x86-64 CPUs with AVX2 the
+    /// unpack gathers four values per step, and linear partitions whose
+    /// predictions stay below 2^51 take a magic-number floor loop compiled
+    /// for AVX2 (`model::reconstruct_linear_span`); other CPUs run the
+    /// scalar and baseline-target copies, which are bit-identical;
     /// partitions of other models evaluate the model, and full partitions
     /// whose predictions approach the `i64` range use the θ₁-accumulation
     /// path with the correction list compensating for floating-point drift.

@@ -48,6 +48,8 @@
 //! assert_eq!(column.decode_all(), values);      // lossless
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod advisor;
 pub mod column;
 pub mod delta_var;

@@ -244,7 +244,7 @@ const MAGIC_LIMIT: f64 = 2_251_799_813_685_248.0; // 2^51
 /// When every prediction of the span stays within `|y| < 2^51` (checked at
 /// the two endpoints — the evaluated line is monotone in `k`, as in
 /// [`linear_fits_i64`]) the floor is taken without any `f64 → i64` cast, in
-/// operations the baseline SSE2 target has in vector form:
+/// operations that have vector forms:
 ///
 /// * `x = bits⁻¹(bits(2^52) + k) − 2^52` is `k as f64` exactly (`k < 2^52`);
 /// * `s = y + 1.5·2^52` rounds `y` to the nearest integer `r = s − 1.5·2^52`,
@@ -254,9 +254,35 @@ const MAGIC_LIMIT: f64 = 2_251_799_813_685_248.0; // 2^51
 /// `y = θ0 + θ1·x` is the very expression `Model::predict` evaluates, so the
 /// floor equals `floor_to_i64(y)`.  Spans outside the magic range take the
 /// scalar loop.
+///
+/// The body is compiled twice: for the baseline target and, chosen at run
+/// time on x86-64 CPUs that have it, for AVX2, where the loop runs four
+/// lanes wide.
+/// The AVX2 copy does not enable FMA: a fused multiply-add would round
+/// `θ0 + θ1·x` once instead of twice and stop matching `Model::predict`.
 #[doc(hidden)]
 #[inline]
 pub fn reconstruct_linear_span(
+    theta0: f64,
+    theta1: f64,
+    local0: usize,
+    base: u64,
+    out: &mut [u64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the only requirement of `reconstruct_linear_span_avx2` is
+        // AVX2, detected at run time just above; it reads and writes
+        // nothing outside `out`.
+        unsafe { reconstruct_linear_span_avx2(theta0, theta1, local0, base, out) };
+        return;
+    }
+    reconstruct_linear_span_baseline(theta0, theta1, local0, base, out);
+}
+
+/// [`reconstruct_linear_span`] compiled for the baseline target.
+#[inline(always)]
+fn reconstruct_linear_span_baseline(
     theta0: f64,
     theta1: f64,
     local0: usize,
@@ -281,6 +307,21 @@ pub fn reconstruct_linear_span(
         let floor = s.to_bits().wrapping_sub(magic).wrapping_sub((r > y) as u64);
         *slot = floor.wrapping_add(base).wrapping_add(*slot);
     }
+}
+
+/// [`reconstruct_linear_span`] compiled for AVX2 (without FMA).  A
+/// `#[target_feature]` function: calling it is `unsafe` and sound only once
+/// AVX2 has been detected on the running CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn reconstruct_linear_span_avx2(
+    theta0: f64,
+    theta1: f64,
+    local0: usize,
+    base: u64,
+    out: &mut [u64],
+) {
+    reconstruct_linear_span_baseline(theta0, theta1, local0, base, out);
 }
 
 /// Test support: the scalar `floor_to_i64` loop [`reconstruct_linear_span`]
@@ -616,6 +657,97 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether the AVX2 reconstruct can run here; prints the route taken.
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_route(test: &str) -> bool {
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        if avx2 {
+            println!("{test}: reconstruct route: avx2");
+        } else {
+            println!("{test}: reconstruct route: scalar (this CPU has no AVX2; skipped)");
+        }
+        avx2
+    }
+
+    /// The AVX2 copy of `reconstruct_linear_span`, called directly, against
+    /// the `floor_to_i64` reference and the baseline copy: predictions on
+    /// both sides of ±2^51 (the magic-number range) and across it, negative
+    /// slopes, `local0 > 0`, span lengths 0..=17 (the vector remainders)
+    /// and 10 000, and lines that a fused multiply-add would floor
+    /// differently.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_reconstruct_matches_reference_and_baseline() {
+        if !avx2_route("avx2_reconstruct_matches_reference_and_baseline") {
+            return;
+        }
+        let two51 = MAGIC_LIMIT;
+        let mut lines = vec![
+            (0.0, 0.0),
+            (12.75, 3.25),
+            (-7.5, -1.125),
+            (1e9, -0.333_333_333_3),
+            (-1e12, 0.7),
+            (two51 - 3.5, 0.0),
+            (two51, 0.0),
+            (two51 + 1.5, -0.25),
+            (two51 - 40.0, 0.5),
+            (-two51 + 8.0, -0.25),
+            (-two51 - 0.5, 0.0),
+            (3.0e18, -1.0e11),
+            (-3.9e18, 2.5e14),
+        ];
+        // `θ0 + θ1·k` cancels to 0 once `θ1·k` is rounded, while a fused
+        // multiply-add keeps the product's rounding error and lands just
+        // below or above 0: these lines tell the two apart.
+        for theta1 in [0.1, -0.1, 1.0 / 3.0, 0.7] {
+            for k in [3.0, 7.0, 13.0, 29.0] {
+                lines.push((-(theta1 * k), theta1));
+            }
+        }
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state
+        };
+        let (mut magic, mut fallback) = (0, 0);
+        for (theta0, theta1) in lines {
+            for local0 in [0usize, 1, 37, 1_000_000] {
+                for n in (0..=17).chain([10_000]) {
+                    let ends = [local0, local0 + n.max(1) - 1].map(|k| theta0 + theta1 * k as f64);
+                    if ends.iter().any(|y: &f64| y.abs() >= 4.0e18) {
+                        continue; // outside the `linear_fits_i64` contract
+                    }
+                    if ends.iter().all(|y| y.abs() < two51) {
+                        magic += 1;
+                    } else {
+                        fallback += 1;
+                    }
+                    let base = next();
+                    let packed: Vec<u64> = (0..n).map(|_| next()).collect();
+                    let mut want = packed.clone();
+                    reconstruct_linear_span_reference(theta0, theta1, local0, base, &mut want);
+                    let mut baseline = packed.clone();
+                    reconstruct_linear_span_baseline(theta0, theta1, local0, base, &mut baseline);
+                    let mut avx2 = packed;
+                    // SAFETY: AVX2 was detected by `avx2_route`.
+                    unsafe {
+                        reconstruct_linear_span_avx2(theta0, theta1, local0, base, &mut avx2)
+                    };
+                    let ctx = format!("θ0 {theta0} θ1 {theta1} local0 {local0} n {n}");
+                    assert_eq!(avx2, want, "{ctx}: avx2 vs reference");
+                    assert_eq!(baseline, want, "{ctx}: baseline vs reference");
+                }
+            }
+        }
+        assert!(
+            magic > 100 && fallback > 100,
+            "{magic} magic, {fallback} fallback spans"
+        );
+    }
 
     #[test]
     fn linear_prediction() {
