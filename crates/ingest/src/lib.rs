@@ -12,14 +12,14 @@
 //! and the `ing.*` metric inventory.
 
 pub mod manifest;
-pub mod scan;
+mod scan;
 pub mod segment;
 pub mod stats;
 pub mod table;
 pub mod wal;
 
+pub use leco_scan::ScanSpec;
 pub use manifest::Manifest;
-pub use scan::{Agg, ScanSpec};
 pub use segment::{FrozenSegment, MemSegment};
 pub use stats::ColumnStats;
 pub use table::{CompactReport, IngestConfig, LiveTable, TableStats};

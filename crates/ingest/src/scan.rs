@@ -16,100 +16,8 @@ use leco_columnar::exec::{
     filter_chunk, group_by_avg_chunk, sum_selected_chunk, Partial, QueryStats,
 };
 use leco_columnar::{Bitmap, TableFile};
-use leco_scan::{ScanError, Scanner};
+use leco_scan::{Agg, ScanError, ScanPlan, Scanner};
 use std::collections::HashSet;
-
-/// Aggregate requested by a [`ScanSpec`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum Agg {
-    /// Count the selected rows (always reported anyway).
-    #[default]
-    Count,
-    /// Exact `u128` sum of one column over the selected rows.
-    Sum(String),
-    /// `GROUP BY id_col` → average of `val_col`, f64-finalized once.
-    GroupAvg {
-        /// Grouping column.
-        id_col: String,
-        /// Averaged column.
-        val_col: String,
-    },
-}
-
-/// A declarative scan over a live table, mirroring the `leco-scan` builder.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScanSpec {
-    /// Optional inclusive range predicate `(column, lo, hi)`.
-    pub filter: Option<(String, u64, u64)>,
-    /// Aggregate to compute.
-    pub agg: Agg,
-}
-
-impl ScanSpec {
-    /// Count-only scan of everything.
-    pub fn count() -> Self {
-        Self::default()
-    }
-
-    /// Add an inclusive range filter on `col`.
-    pub fn filter(mut self, col: &str, lo: u64, hi: u64) -> Self {
-        self.filter = Some((col.to_string(), lo, hi));
-        self
-    }
-
-    /// Sum `col` over the selected rows.
-    pub fn sum(mut self, col: &str) -> Self {
-        self.agg = Agg::Sum(col.to_string());
-        self
-    }
-
-    /// Group by `id_col`, averaging `val_col`.
-    pub fn group_by_avg(mut self, id_col: &str, val_col: &str) -> Self {
-        self.agg = Agg::GroupAvg {
-            id_col: id_col.to_string(),
-            val_col: val_col.to_string(),
-        };
-        self
-    }
-}
-
-/// Resolved column indices for a spec (names checked once, up front).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ResolvedSpec {
-    pub filter: Option<(usize, u64, u64)>,
-    pub agg: ResolvedAgg,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ResolvedAgg {
-    Count,
-    Sum(usize),
-    GroupAvg { id_col: usize, val_col: usize },
-}
-
-pub(crate) fn resolve(spec: &ScanSpec, columns: &[String]) -> std::io::Result<ResolvedSpec> {
-    let idx = |name: &str| {
-        columns.iter().position(|c| c == name).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                ScanError::ColumnNotFound(name.to_string()),
-            )
-        })
-    };
-    let filter = match &spec.filter {
-        Some((col, lo, hi)) => Some((idx(col)?, *lo, *hi)),
-        None => None,
-    };
-    let agg = match &spec.agg {
-        Agg::Count => ResolvedAgg::Count,
-        Agg::Sum(col) => ResolvedAgg::Sum(idx(col)?),
-        Agg::GroupAvg { id_col, val_col } => ResolvedAgg::GroupAvg {
-            id_col: idx(id_col)?,
-            val_col: idx(val_col)?,
-        },
-    };
-    Ok(ResolvedSpec { filter, agg })
-}
 
 /// Accumulate over in-memory row data (`columns` vectors), with an optional
 /// per-row alive test. Used for the memtable (`alive` = `None`) and frozen
@@ -117,7 +25,7 @@ pub(crate) fn resolve(spec: &ScanSpec, columns: &[String]) -> std::io::Result<Re
 pub(crate) fn scan_rows(
     columns: &[Vec<u64>],
     alive: Option<&FrozenSegment>,
-    spec: &ResolvedSpec,
+    plan: &ScanPlan,
     acc: &mut Partial,
 ) {
     let rows = columns.first().map_or(0, Vec::len);
@@ -131,17 +39,17 @@ pub(crate) fn scan_rows(
             }
         }
         acc.rows_scanned += 1;
-        if let Some((col, lo, hi)) = spec.filter {
+        if let Some((col, lo, hi)) = plan.filter {
             let v = columns[col][i];
             if v < lo || v > hi {
                 continue;
             }
         }
         acc.rows_selected += 1;
-        match spec.agg {
-            ResolvedAgg::Count => {}
-            ResolvedAgg::Sum(col) => acc.sum += columns[col][i] as u128,
-            ResolvedAgg::GroupAvg { id_col, val_col } => {
+        match plan.agg {
+            Agg::Count => {}
+            Agg::Sum(col) => acc.sum += columns[col][i] as u128,
+            Agg::GroupAvg { id_col, val_col } => {
                 let entry = acc.groups.entry(columns[id_col][i]).or_insert((0, 0));
                 entry.0 += columns[val_col][i] as u128;
                 entry.1 += 1;
@@ -167,21 +75,11 @@ pub(crate) fn file_may_contain(file: &TableFile, key_col: usize, keys: &HashSet<
 /// the file is live, so all of them count as scanned.
 pub(crate) fn scan_file_clean(
     file: &TableFile,
-    spec: &ResolvedSpec,
+    plan: &ScanPlan,
     threads: usize,
 ) -> std::io::Result<Partial> {
-    let mut scanner = Scanner::new(file);
-    if let Some((col, lo, hi)) = spec.filter {
-        scanner = scanner.filter_col(col, lo, hi);
-    }
-    match spec.agg {
-        ResolvedAgg::Count => scanner = scanner.count(),
-        ResolvedAgg::Sum(col) => scanner = scanner.sum_col(col),
-        ResolvedAgg::GroupAvg { id_col, val_col } => {
-            scanner = scanner.group_by_avg_cols(id_col, val_col)
-        }
-    }
-    let (mut partial, _) = scanner.run_partial(threads).map_err(|e| match e {
+    let scanned = Scanner::with_plan(file, *plan).run_partial(threads);
+    let (mut partial, _) = scanned.map_err(|e| match e {
         ScanError::Io(e) => e,
         other => std::io::Error::other(other),
     })?;
@@ -199,7 +97,7 @@ pub(crate) fn scan_file_masked(
     file: &TableFile,
     key_col: usize,
     tombstones: &HashSet<u64>,
-    spec: &ResolvedSpec,
+    plan: &ScanPlan,
     acc: &mut Partial,
 ) -> std::io::Result<()> {
     let n = file.num_rows();
@@ -225,7 +123,7 @@ pub(crate) fn scan_file_masked(
     acc.rows_scanned += live_rows;
 
     // Selection: filter ∧ alive (or alive alone when unfiltered).
-    let sel = match spec.filter {
+    let sel = match plan.filter {
         Some((col, lo, hi)) => {
             let mut sel = Bitmap::new(n);
             for rg in 0..file.num_row_groups() {
@@ -263,13 +161,13 @@ pub(crate) fn scan_file_masked(
         if sel.count_ones_in(row_start, row_end) == 0 {
             continue;
         }
-        match spec.agg {
-            ResolvedAgg::Count => {}
-            ResolvedAgg::Sum(col) => {
+        match plan.agg {
+            Agg::Count => {}
+            Agg::Sum(col) => {
                 let chunk = reader.read_chunk(rg, col, &mut stats)?;
                 acc.sum += sum_selected_chunk(chunk, &sel, row_start, &mut decode);
             }
-            ResolvedAgg::GroupAvg { id_col, val_col } => {
+            Agg::GroupAvg { id_col, val_col } => {
                 let ids = reader.read_chunk(rg, id_col, &mut stats)?;
                 let vals = reader.read_chunk(rg, val_col, &mut stats)?;
                 let groups = &mut acc.groups;

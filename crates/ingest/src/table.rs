@@ -65,13 +65,12 @@
 //! written files too.
 
 use crate::manifest::{sync_dir, Manifest};
-use crate::scan::{
-    file_may_contain, resolve, scan_file_clean, scan_file_masked, scan_rows, ScanSpec,
-};
+use crate::scan::{file_may_contain, scan_file_clean, scan_file_masked, scan_rows};
 use crate::segment::{FrozenSegment, MemSegment};
 use crate::stats::ColumnStats;
 use crate::wal::{replay, ReplayReport, Wal, WalRecord};
 use leco_columnar::{Encoding, Partial, TableFile, TableFileOptions};
+use leco_scan::ScanSpec;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
@@ -544,7 +543,9 @@ impl LiveTable {
     /// and frozen rows add none).
     pub fn scan(&self, spec: &ScanSpec, threads: usize) -> std::io::Result<Partial> {
         let inner = &self.inner;
-        let resolved = resolve(spec, &inner.columns)?;
+        let plan = spec
+            .resolve(|name| inner.columns.iter().position(|c| c == name))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let sw = leco_obs::Stopwatch::start();
 
         // Snapshot under the read lock: copy the (bounded) memtable, clone
@@ -557,15 +558,15 @@ impl LiveTable {
         };
 
         let mut acc = Partial::default();
-        scan_rows(&mem_columns, None, &resolved, &mut acc);
+        scan_rows(&mem_columns, None, &plan, &mut acc);
         for seg in &frozen {
-            scan_rows(seg.columns(), Some(seg), &resolved, &mut acc);
+            scan_rows(seg.columns(), Some(seg), &plan, &mut acc);
         }
         for file in &files {
             if file_may_contain(&file.table, inner.key_col, &tombstones) {
-                scan_file_masked(&file.table, inner.key_col, &tombstones, &resolved, &mut acc)?;
+                scan_file_masked(&file.table, inner.key_col, &tombstones, &plan, &mut acc)?;
             } else {
-                acc.merge(scan_file_clean(&file.table, &resolved, threads)?);
+                acc.merge(scan_file_clean(&file.table, &plan, threads)?);
             }
         }
         leco_obs::histogram!("ing.scan_secs").record_secs(sw.elapsed_secs());

@@ -104,23 +104,7 @@ fn reference_scan(model: &Model, spec: &ScanSpec, threads: usize, dir: &PathBuf)
         ..TableFileOptions::default()
     };
     let file = TableFile::write(&path, &COLS, &cols, options).unwrap();
-    let mut scanner = Scanner::new(&file);
-    if let Some((col, lo, hi)) = &spec.filter {
-        let idx = COLS.iter().position(|c| c == col).unwrap();
-        scanner = scanner.filter_col(idx, *lo, *hi);
-    }
-    match &spec.agg {
-        leco_ingest::Agg::Count => scanner = scanner.count(),
-        leco_ingest::Agg::Sum(col) => {
-            let idx = COLS.iter().position(|c| c == col).unwrap();
-            scanner = scanner.sum_col(idx);
-        }
-        leco_ingest::Agg::GroupAvg { id_col, val_col } => {
-            let id = COLS.iter().position(|c| c == id_col).unwrap();
-            let val = COLS.iter().position(|c| c == val_col).unwrap();
-            scanner = scanner.group_by_avg_cols(id, val);
-        }
-    }
+    let scanner = Scanner::from_spec(&file, spec).unwrap();
     let (mut reference, _) = scanner.run_partial(threads).unwrap();
     std::fs::remove_file(&path).ok();
     // A live table counts every live row as scanned, pruned or not.

@@ -8,11 +8,8 @@
 //!   compressed either with RocksDB-style restart-interval prefix-delta
 //!   coding or with LeCo (string extension for the keys, integer LeCo for the
 //!   block offsets),
-//! * an LRU block [`cache`] with a byte budget shared by data blocks,
-//! * a multi-threaded `seek` workload driver ([`store::run_seek_workload`]),
-//!   and
-//! * a batched [`Store::multi_get`] that fans point lookups out over the
-//!   work-stealing pool of `leco-scan`.
+//! * an LRU block [`cache`] with a byte budget shared by data blocks, and
+//! * a multi-threaded `seek` workload driver ([`store::run_seek_workload`]).
 //!
 //! A smaller index block leaves more of the cache budget for data blocks
 //! (fewer I/Os), and LeCo's O(1) random access avoids decompressing a whole

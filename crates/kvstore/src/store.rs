@@ -278,34 +278,8 @@ impl Store {
     }
 }
 
-/// An owned `(key, value)` record, as returned by [`Store::seek`] and
-/// [`Store::multi_get`].
+/// An owned `(key, value)` record, as returned by [`Store::seek`].
 pub type KvPair = (Vec<u8>, Vec<u8>);
-
-impl Store {
-    /// Batched point lookup: seek every key in `keys` across `threads`
-    /// work-stealing workers and return the answers in input order.
-    ///
-    /// Runs on the same pool machinery as the columnar scan engine
-    /// ([`leco_scan::parallel_map`]): keys are dealt into per-worker deques
-    /// and idle workers steal, which keeps all threads busy under skewed key
-    /// distributions where some keys hit cold (disk-reading) blocks and
-    /// others hit the cache.  A panic inside a worker surfaces as an
-    /// `io::Error` instead of hanging the batch.
-    pub fn multi_get(
-        &self,
-        keys: &[Vec<u8>],
-        threads: usize,
-    ) -> std::io::Result<Vec<Option<KvPair>>> {
-        // Whole-batch latency in `kv.multi_get_ns`; the constituent seeks
-        // also land individually in `kv.get_ns`.
-        leco_obs::histogram!("kv.multi_get_ns").time(|| {
-            let results = leco_scan::parallel_map(threads, keys, |key| self.seek(key))
-                .map_err(std::io::Error::other)?;
-            results.into_iter().collect()
-        })
-    }
-}
 
 /// Run `queries` seek operations across `threads` worker threads, returning
 /// the aggregate throughput in operations per second.
@@ -470,32 +444,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn multi_get_matches_sequential_seeks() {
-        let recs = records(20_000);
-        let path = tmp("multiget");
-        let store = Store::load(
-            &path,
-            &recs,
-            StoreOptions {
-                index_format: IndexBlockFormat::Leco,
-                block_cache_bytes: 2 << 20,
-            },
-        )
-        .unwrap();
-        // Mix of exact hits, between-key probes and past-the-end misses.
-        let keys: Vec<Vec<u8>> = (0..3_000usize)
-            .map(|i| format!("user{:012}", (i * 17) as u64 * 37 + (i % 3) as u64).into_bytes())
-            .chain(std::iter::once(b"zzzz".to_vec()))
-            .collect();
-        let expected: Vec<_> = keys.iter().map(|k| store.seek(k).unwrap()).collect();
-        for threads in [1, 2, 4, 8] {
-            let got = store.multi_get(&keys, threads).unwrap();
-            assert_eq!(got, expected, "threads={threads}");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
     /// A store whose middle block is oversized: one record's value is
     /// several times `BLOCK_SIZE`, so the block holding it cannot be
     /// over-read with a fixed-size window.
@@ -544,50 +492,6 @@ mod tests {
             store.get(b"b-big").unwrap(),
             Some(vec![0xAB; 4 * crate::block::BLOCK_SIZE])
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Regression for the server workload: concurrent `multi_get` batches
-    /// sharing one store, with duplicate keys, missing keys (including ones
-    /// that land past a block end, the over-read path above) and past-the-end
-    /// probes.  Every batch must match sequential seeks — a panic inside one
-    /// worker used to poison the pool and fail the whole batch.
-    #[test]
-    fn multi_get_concurrent_duplicate_and_missing_keys() {
-        let recs = records_with_oversized_block();
-        let path = tmp("concurrent-multiget");
-        let store = Store::load(
-            &path,
-            &recs,
-            StoreOptions {
-                index_format: IndexBlockFormat::Leco,
-                block_cache_bytes: 256 << 10,
-            },
-        )
-        .unwrap();
-        let keys: Vec<Vec<u8>> = vec![
-            b"a0007".to_vec(),
-            b"a0007".to_vec(), // duplicate of an exact hit
-            b"azzz".to_vec(),  // missing: past the a-block, oversized successor
-            b"azzz".to_vec(),  // duplicate of a missing key
-            b"a0100".to_vec(),
-            b"b-big".to_vec(),
-            b"c0049".to_vec(),
-            b"zzzz".to_vec(), // past the end of the store
-            b"a000".to_vec(), // missing: before its successor within a block
-        ];
-        let expected: Vec<_> = keys.iter().map(|k| store.seek(k).unwrap()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (store, keys, expected) = (&store, &keys, &expected);
-                scope.spawn(move || {
-                    for threads in [1, 2, 4] {
-                        let got = store.multi_get(keys, threads).unwrap();
-                        assert_eq!(&got, expected, "threads={threads}");
-                    }
-                });
-            }
-        });
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,6 +6,11 @@
 //! that turns the single-threaded kernels of `leco_columnar` into a
 //! hardware-saturating scan:
 //!
+//! * **One scan description.** A [`ScanSpec`] names a filter and an
+//!   aggregate by column name; [`ScanSpec::resolve`] is the one place a name
+//!   becomes a column index, yielding the [`ScanPlan`] a [`Scanner`] runs.
+//!   `leco-server` parses `SCAN` into it and `leco-ingest` scans live tables
+//!   with it.
 //! * **Morsels.** The unit of scheduling is one row group.  The scheduler
 //!   applies zone-map pruning *before* enqueueing, so a morsel that cannot
 //!   contain a match is never seen by a worker.
@@ -60,6 +65,8 @@
 pub mod pool;
 mod prefetch;
 mod scanner;
+mod spec;
 
-pub use pool::{parallel_map, run_with_worker_state, PoolError};
+pub use pool::{run_with_worker_state, PoolError};
 pub use scanner::{ScanError, ScanResult, Scanner};
+pub use spec::{Agg, Scan, ScanPlan, ScanSpec};

@@ -2,6 +2,7 @@
 
 use crate::pool::{self, PoolError};
 use crate::prefetch::PrefetchBuffer;
+use crate::spec::{Agg, ScanPlan, ScanSpec};
 use leco_columnar::exec::{
     filter_chunk, filter_chunk_pushdown, group_by_avg_chunk, sum_selected_chunk,
 };
@@ -58,29 +59,6 @@ impl From<PoolError> for ScanError {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct FilterSpec {
-    col: usize,
-    lo: u64,
-    hi: u64,
-    sorted: bool,
-    /// Compressed execution: evaluate the predicate inside the encoded
-    /// domain (model inverse for LeCo, packed-domain compare for FOR, fused
-    /// compare for Delta) instead of decode-then-filter.  On by default;
-    /// [`Scanner::pushdown_filter`] turns it off for comparison runs.
-    pushdown: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Aggregate {
-    /// Count the selected rows (filter-only pipelines).
-    Count,
-    /// `SUM(col)` over the selected rows.
-    Sum { col: usize },
-    /// `AVG(val) GROUP BY id` over the selected rows.
-    GroupByAvg { id_col: usize, val_col: usize },
-}
-
 /// Result of a parallel scan.
 ///
 /// All result fields are integer-derived and merged with exact arithmetic, so
@@ -111,6 +89,11 @@ pub struct ScanResult {
 /// A composable filter → project → aggregate scan over a
 /// [`TableFile`], executed morsel-at-a-time by a work-stealing pool.
 ///
+/// The query itself is a [`ScanPlan`]: build it clause by clause here, or
+/// resolve a whole [`ScanSpec`] with [`Self::from_spec`].  The name-level
+/// builders are shorthands for a one-clause spec and panic on a column the
+/// table does not have.
+///
 /// ```no_run
 /// use leco_columnar::{TableFile, TableFileOptions};
 /// use leco_scan::Scanner;
@@ -128,8 +111,13 @@ pub struct ScanResult {
 #[derive(Debug)]
 pub struct Scanner<'a> {
     table: &'a TableFile,
-    filter: Option<FilterSpec>,
-    agg: Aggregate,
+    plan: ScanPlan,
+    /// The filter column is sorted: resolve it by binary search.
+    sorted: bool,
+    /// Compressed execution: evaluate the predicate inside the encoded
+    /// domain (model inverse for LeCo, packed-domain compare for FOR, fused
+    /// compare for Delta) instead of decode-then-filter.
+    pushdown: bool,
     read_ahead: bool,
     /// Test hook: panic while executing this global morsel index.
     inject_panic_at: Option<usize>,
@@ -139,47 +127,53 @@ impl<'a> Scanner<'a> {
     /// Start building a scan over `table`.  Without any other calls the scan
     /// counts all rows.
     pub fn new(table: &'a TableFile) -> Self {
+        Self::with_plan(table, ScanPlan::default())
+    }
+
+    /// A scan of `table` running `plan`, whose column indices must be
+    /// `table`'s.
+    pub fn with_plan(table: &'a TableFile, plan: ScanPlan) -> Self {
         Self {
             table,
-            filter: None,
-            agg: Aggregate::Count,
+            plan,
+            sorted: false,
+            pushdown: true,
             read_ahead: true,
             inject_panic_at: None,
         }
     }
 
-    fn resolve(&self, name: &str) -> Result<usize, ScanError> {
-        self.table
-            .column_index(name)
-            .ok_or_else(|| ScanError::ColumnNotFound(name.to_string()))
+    /// A scan of `table` running `spec`, its names resolved against the
+    /// table's columns; an unknown name is [`ScanError::ColumnNotFound`].
+    pub fn from_spec(table: &'a TableFile, spec: &ScanSpec) -> Result<Self, ScanError> {
+        let plan = spec.resolve(|name| table.column_index(name))?;
+        Ok(Self::with_plan(table, plan))
+    }
+
+    /// `spec`'s plan over this table, for the name-level builders.
+    ///
+    /// # Panics
+    /// Panics if `spec` names a column the table does not have.
+    fn expect_plan(&self, spec: ScanSpec) -> ScanPlan {
+        spec.resolve(|name| self.table.column_index(name))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Push down the range predicate `lo <= col <= hi` (column by name).
     ///
     /// # Panics
-    /// Panics if the column does not exist; use [`Self::try_filter`] to
-    /// handle that case gracefully.
-    pub fn filter(self, col: &str, lo: u64, hi: u64) -> Self {
-        self.try_filter(col, lo, hi)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Self::filter`]: returns
-    /// [`ScanError::ColumnNotFound`] instead of panicking on a bad name.
-    pub fn try_filter(self, col: &str, lo: u64, hi: u64) -> Result<Self, ScanError> {
-        let idx = self.resolve(col)?;
-        Ok(self.filter_col(idx, lo, hi))
+    /// Panics if the column does not exist; [`Self::from_spec`] reports it
+    /// as an error instead.
+    pub fn filter(mut self, col: &str, lo: u64, hi: u64) -> Self {
+        self.plan.filter = self
+            .expect_plan(ScanSpec::count().filter(col, lo, hi))
+            .filter;
+        self
     }
 
     /// Push down the range predicate `lo <= col <= hi` (column by index).
     pub fn filter_col(mut self, col: usize, lo: u64, hi: u64) -> Self {
-        self.filter = Some(FilterSpec {
-            col,
-            lo,
-            hi,
-            sorted: false,
-            pushdown: true,
-        });
+        self.plan.filter = Some((col, lo, hi));
         self
     }
 
@@ -187,9 +181,7 @@ impl<'a> Scanner<'a> {
     /// binary-search filter (§5.1.1's computation pruning) instead of a
     /// decode-and-compare pass.
     pub fn sorted_filter(mut self, sorted: bool) -> Self {
-        if let Some(f) = &mut self.filter {
-            f.sorted = sorted;
-        }
+        self.sorted = sorted;
         self
     }
 
@@ -203,61 +195,47 @@ impl<'a> Scanner<'a> {
     /// selectivity benchmark measures against.  A sorted filter ignores this
     /// toggle: the binary-search path already decodes nothing.
     pub fn pushdown_filter(mut self, enabled: bool) -> Self {
-        if let Some(f) = &mut self.filter {
-            f.pushdown = enabled;
-        }
+        self.pushdown = enabled;
         self
     }
 
     /// Aggregate `AVG(val) GROUP BY id` over the selected rows (by name).
     ///
     /// # Panics
-    /// Panics if either column does not exist; use
-    /// [`Self::try_group_by_avg`] to handle that case gracefully.
-    pub fn group_by_avg(self, id_col: &str, val_col: &str) -> Self {
-        self.try_group_by_avg(id_col, val_col)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Self::group_by_avg`]: returns
-    /// [`ScanError::ColumnNotFound`] instead of panicking on a bad name.
-    pub fn try_group_by_avg(self, id_col: &str, val_col: &str) -> Result<Self, ScanError> {
-        let id = self.resolve(id_col)?;
-        let val = self.resolve(val_col)?;
-        Ok(self.group_by_avg_cols(id, val))
+    /// Panics if either column does not exist; [`Self::from_spec`] reports
+    /// it as an error instead.
+    pub fn group_by_avg(mut self, id_col: &str, val_col: &str) -> Self {
+        self.plan.agg = self
+            .expect_plan(ScanSpec::count().group_by_avg(id_col, val_col))
+            .agg;
+        self
     }
 
     /// Aggregate `AVG(val) GROUP BY id` over the selected rows (by index).
     pub fn group_by_avg_cols(mut self, id_col: usize, val_col: usize) -> Self {
-        self.agg = Aggregate::GroupByAvg { id_col, val_col };
+        self.plan.agg = Agg::GroupAvg { id_col, val_col };
         self
     }
 
     /// Aggregate `SUM(col)` over the selected rows (by name).
     ///
     /// # Panics
-    /// Panics if the column does not exist; use [`Self::try_sum`] to handle
-    /// that case gracefully.
-    pub fn sum(self, col: &str) -> Self {
-        self.try_sum(col).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Self::sum`]: returns
-    /// [`ScanError::ColumnNotFound`] instead of panicking on a bad name.
-    pub fn try_sum(self, col: &str) -> Result<Self, ScanError> {
-        let idx = self.resolve(col)?;
-        Ok(self.sum_col(idx))
+    /// Panics if the column does not exist; [`Self::from_spec`] reports it
+    /// as an error instead.
+    pub fn sum(mut self, col: &str) -> Self {
+        self.plan.agg = self.expect_plan(ScanSpec::count().sum(col)).agg;
+        self
     }
 
     /// Aggregate `SUM(col)` over the selected rows (by index).
     pub fn sum_col(mut self, col: usize) -> Self {
-        self.agg = Aggregate::Sum { col };
+        self.plan.agg = Agg::Sum(col);
         self
     }
 
     /// Only count the selected rows (the default).
     pub fn count(mut self) -> Self {
-        self.agg = Aggregate::Count;
+        self.plan.agg = Agg::Count;
         self
     }
 
@@ -281,13 +259,13 @@ impl<'a> Scanner<'a> {
     /// Columns the scan must read per morsel, deduplicated.
     fn needed_columns(&self) -> Vec<usize> {
         let mut cols = Vec::new();
-        if let Some(f) = &self.filter {
-            cols.push(f.col);
+        if let Some((col, _, _)) = self.plan.filter {
+            cols.push(col);
         }
-        match self.agg {
-            Aggregate::Count => {}
-            Aggregate::Sum { col } => cols.push(col),
-            Aggregate::GroupByAvg { id_col, val_col } => {
+        match self.plan.agg {
+            Agg::Count => {}
+            Agg::Sum(col) => cols.push(col),
+            Agg::GroupAvg { id_col, val_col } => {
                 cols.push(id_col);
                 cols.push(val_col);
             }
@@ -323,9 +301,9 @@ impl<'a> Scanner<'a> {
         // ever enqueued, so pruned row groups cost the workers nothing.
         let mut morsels: Vec<usize> = Vec::with_capacity(table.num_row_groups());
         for rg in 0..table.num_row_groups() {
-            if let Some(f) = &self.filter {
-                let (zmin, zmax) = table.zone_map(rg, f.col);
-                if zmax < f.lo || zmin > f.hi {
+            if let Some((col, lo, hi)) = self.plan.filter {
+                let (zmin, zmax) = table.zone_map(rg, col);
+                if zmax < lo || zmin > hi {
                     sched_stats.row_groups_pruned += 1;
                     continue;
                 }
@@ -471,29 +449,29 @@ impl<'a> Scanner<'a> {
         // Selection: morsel-local bitmap, reset in place (no allocation).
         let filter_span = leco_obs::span("scan.morsel.filter");
         scratch.sel.reset(rows);
-        match &self.filter {
-            Some(f) => {
-                let chunk = self.table.chunk_encoded(rg, f.col);
+        match self.plan.filter {
+            Some((col, lo, hi)) => {
+                let chunk = self.table.chunk_encoded(rg, col);
                 // Kernel selection: a sorted column is resolved by binary
                 // search; otherwise compressed execution handles the
                 // encodings with an exploitable domain and everything else
                 // (or pushdown off) takes the decode-then-filter path.
-                if f.sorted {
+                if self.sorted {
                     filter_chunk(
                         chunk,
-                        f.lo,
-                        f.hi,
+                        lo,
+                        hi,
                         true,
                         0,
                         &mut scratch.sel,
                         &mut scratch.decode,
                         &mut scratch.stats,
                     );
-                } else if f.pushdown && chunk.supports_pushdown() {
+                } else if self.pushdown && chunk.supports_pushdown() {
                     filter_chunk_pushdown(
                         chunk,
-                        f.lo,
-                        f.hi,
+                        lo,
+                        hi,
                         0,
                         &mut scratch.sel,
                         &mut scratch.decode,
@@ -502,8 +480,8 @@ impl<'a> Scanner<'a> {
                 } else {
                     filter_chunk(
                         chunk,
-                        f.lo,
-                        f.hi,
+                        lo,
+                        hi,
                         false,
                         0,
                         &mut scratch.sel,
@@ -521,14 +499,14 @@ impl<'a> Scanner<'a> {
 
         // Aggregate over the selection.
         let _agg_span = leco_obs::span("scan.morsel.aggregate");
-        match self.agg {
-            Aggregate::Count => {}
-            Aggregate::Sum { col } => {
+        match self.plan.agg {
+            Agg::Count => {}
+            Agg::Sum(col) => {
                 let chunk = self.table.chunk_encoded(rg, col);
                 scratch.partial.sum +=
                     sum_selected_chunk(chunk, &scratch.sel, 0, &mut scratch.decode);
             }
-            Aggregate::GroupByAvg { id_col, val_col } => {
+            Agg::GroupAvg { id_col, val_col } => {
                 let ids = self.table.chunk_encoded(rg, id_col);
                 let vals = self.table.chunk_encoded(rg, val_col);
                 group_by_avg_chunk(

@@ -5,7 +5,8 @@
 use leco_columnar::{exec, Encoding, QueryStats, TableFile, TableFileOptions};
 use leco_datasets::tables::{sensor_table, SensorDistribution};
 use leco_datasets::zipf::Zipf;
-use leco_scan::{ScanError, Scanner};
+use leco_ingest::{IngestConfig, LiveTable};
+use leco_scan::{ScanError, ScanSpec, Scanner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -302,14 +303,87 @@ fn truncated_file_surfaces_as_io_error() {
 }
 
 #[test]
-fn unknown_column_name_is_a_clean_error() {
+fn unknown_column_is_column_not_found_on_both_table_kinds() {
     let (table, path) = write_zipf(10_000, "badcol");
-    let err = Scanner::new(&table)
-        .try_filter("no_such_column", 0, 10)
-        .unwrap_err();
-    assert!(matches!(err, ScanError::ColumnNotFound(ref n) if n == "no_such_column"));
-    assert!(Scanner::new(&table).try_group_by_avg("id", "nope").is_err());
-    assert!(Scanner::new(&table).try_sum("nope").is_err());
+    let live_dir = tmp("badcol-live");
+    std::fs::remove_dir_all(&live_dir).ok();
+    let config = IngestConfig {
+        auto_compact: false,
+        ..IngestConfig::default()
+    };
+    let live = LiveTable::open(&live_dir, &["ts", "id", "val"], config).unwrap();
+    live.put(&[1, 2, 3]).unwrap();
+    for spec in [
+        ScanSpec::count().filter("nosuch", 0, 10),
+        ScanSpec::count().sum("nosuch"),
+        ScanSpec::count().group_by_avg("nosuch", "val"),
+        ScanSpec::count().group_by_avg("id", "nosuch"),
+    ] {
+        let not_found = |e: &ScanError| matches!(e, ScanError::ColumnNotFound(n) if n == "nosuch");
+        let on_file = spec.resolve(|name| table.column_index(name)).unwrap_err();
+        let on_live = spec
+            .resolve(|name| live.columns().iter().position(|c| c == name))
+            .unwrap_err();
+        assert!(not_found(&on_file) && not_found(&on_live), "{spec:?}");
+        // The same error surfaces from each table kind's scan entry point.
+        let scanner = Scanner::from_spec(&table, &spec).unwrap_err();
+        assert!(not_found(&scanner), "{spec:?}: {scanner:?}");
+        let scanned = live.scan(&spec, 1).unwrap_err();
+        let inner = scanned
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<ScanError>());
+        assert!(inner.is_some_and(not_found), "{spec:?}: {scanned:?}");
+    }
+    drop(live);
+    std::fs::remove_dir_all(&live_dir).ok();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn execution_flags_hold_in_either_builder_order() {
+    // `sorted_filter` and `pushdown_filter` are execution flags, not part of
+    // the filter clause: setting them before or after the filter runs the
+    // same kernels.
+    let (table, path) = write_zipf(50_000, "flag-order");
+    let (zlo, _) = table.zone_map(1, 0);
+    let (lo, hi) = (zlo, zlo + 30_000);
+    for (sorted, pushdown) in [(true, true), (false, true), (false, false)] {
+        let flags_after = Scanner::new(&table)
+            .filter("ts", lo, hi)
+            .sorted_filter(sorted)
+            .pushdown_filter(pushdown)
+            .sum("val")
+            .run(2)
+            .unwrap();
+        let flags_before = Scanner::new(&table)
+            .sorted_filter(sorted)
+            .pushdown_filter(pushdown)
+            .filter("ts", lo, hi)
+            .sum("val")
+            .run(2)
+            .unwrap();
+        let ctx = format!("sorted={sorted} pushdown={pushdown}");
+        assert!(flags_after.rows_selected > 0, "{ctx}");
+        assert_eq!(
+            flags_before.rows_selected, flags_after.rows_selected,
+            "{ctx}"
+        );
+        assert_eq!(flags_before.sum, flags_after.sum, "{ctx}");
+        let kernel_rows =
+            |r: &leco_scan::ScanResult| (r.stats.rows_skipped_by_model, r.stats.rows_decoded_full);
+        assert_eq!(
+            kernel_rows(&flags_before),
+            kernel_rows(&flags_after),
+            "{ctx}"
+        );
+        // Each flag setting takes its own kernel.
+        let expected = match (sorted, pushdown) {
+            (true, _) => flags_after.rows_scanned == flags_after.stats.rows_skipped_by_model,
+            (false, true) => flags_after.stats.rows_decoded_full == 0,
+            (false, false) => flags_after.rows_scanned == flags_after.stats.rows_decoded_full,
+        };
+        assert!(expected, "{ctx}: {:?}", kernel_rows(&flags_after));
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -53,6 +53,6 @@ pub mod shard;
 
 pub use client::Client;
 pub use fixture::{LiveTableSpec, ShardSet, ShardSetBuilder, TableSpec};
-pub use protocol::{Request, ScanAgg, MAX_FRAME};
+pub use protocol::{Request, MAX_FRAME};
 pub use server::{Server, ServerConfig};
 pub use shard::{shard_for_key, Manifest, ShardData};

@@ -12,6 +12,7 @@
 //! layout with a worked example.
 
 use leco_bench::report::Json;
+use leco_scan::{Agg, ScanSpec};
 
 /// Hard ceiling on a frame payload.  A length prefix beyond this is treated
 /// as a corrupt stream: the server replies with an error and closes, because
@@ -41,10 +42,8 @@ pub enum Request {
     Scan {
         /// Table name from the manifest.
         table: String,
-        /// Optional inclusive range predicate `lo <= col <= hi`.
-        filter: Option<(String, u64, u64)>,
-        /// Aggregate to compute over the selected rows.
-        agg: ScanAgg,
+        /// The filter and aggregate, columns by name.
+        spec: ScanSpec,
     },
     /// `PUT <table> <v0> <v1> …` — ingest one row into a live table.  The
     /// `200` reply is sent only after the row's WAL batch is fsync'd.
@@ -67,17 +66,6 @@ pub enum Request {
     Flush,
     /// `STATS` — server/shard/registry counters.
     Stats,
-}
-
-/// Aggregate clause of a `SCAN`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScanAgg {
-    /// Count the selected rows (the default).
-    Count,
-    /// `SUM <col>` over the selected rows.
-    Sum(String),
-    /// `GROUPBY <id> AGG avg <val>`.
-    GroupByAvg(String, String),
 }
 
 /// Parse a request payload.  Errors are client-facing `400` messages.
@@ -154,12 +142,11 @@ fn parse_scan<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<Request,
         .next()
         .ok_or_else(|| "SCAN needs a table name".to_string())?
         .to_string();
-    let mut filter = None;
-    let mut agg = ScanAgg::Count;
+    let mut spec = ScanSpec::count();
     while let Some(clause) = tokens.next() {
         match clause {
             "FILTER" => {
-                if filter.is_some() {
+                if spec.filter.is_some() {
                     return Err("duplicate FILTER clause".into());
                 }
                 let col = tokens
@@ -170,10 +157,10 @@ fn parse_scan<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<Request,
                 if lo > hi {
                     return Err(format!("FILTER range is empty: lo {lo} > hi {hi}"));
                 }
-                filter = Some((col.to_string(), lo, hi));
+                spec = spec.filter(col, lo, hi);
             }
             "GROUPBY" => {
-                if agg != ScanAgg::Count {
+                if spec.agg != Agg::Count {
                     return Err("duplicate aggregate clause".into());
                 }
                 let id = tokens
@@ -185,21 +172,21 @@ fn parse_scan<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<Request,
                 let val = tokens
                     .next()
                     .ok_or_else(|| "GROUPBY … AGG avg needs a value column".to_string())?;
-                agg = ScanAgg::GroupByAvg(id.to_string(), val.to_string());
+                spec = spec.group_by_avg(id, val);
             }
             "SUM" => {
-                if agg != ScanAgg::Count {
+                if spec.agg != Agg::Count {
                     return Err("duplicate aggregate clause".into());
                 }
                 let col = tokens
                     .next()
                     .ok_or_else(|| "SUM needs a column".to_string())?;
-                agg = ScanAgg::Sum(col.to_string());
+                spec = spec.sum(col);
             }
             other => return Err(format!("unknown SCAN clause {other:?}")),
         }
     }
-    Ok(Request::Scan { table, filter, agg })
+    Ok(Request::Scan { table, spec })
 }
 
 fn parse_u64(token: Option<&str>, what: &str) -> Result<u64, String> {
@@ -336,16 +323,16 @@ mod tests {
             parse_request(b"SCAN sensors FILTER ts 100 200 GROUPBY id AGG avg val").unwrap(),
             Request::Scan {
                 table: "sensors".into(),
-                filter: Some(("ts".into(), 100, 200)),
-                agg: ScanAgg::GroupByAvg("id".into(), "val".into()),
+                spec: ScanSpec::count()
+                    .filter("ts", 100, 200)
+                    .group_by_avg("id", "val"),
             }
         );
         assert_eq!(
             parse_request(b"SCAN sensors SUM val").unwrap(),
             Request::Scan {
                 table: "sensors".into(),
-                filter: None,
-                agg: ScanAgg::Sum("val".into()),
+                spec: ScanSpec::count().sum("val"),
             }
         );
         assert_eq!(parse_request(b"STATS").unwrap(), Request::Stats);

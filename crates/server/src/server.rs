@@ -473,7 +473,7 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
                 started,
             }
         }
-        Request::Scan { table, filter, agg } => {
+        Request::Scan { table, spec } => {
             leco_obs::counter!("srv.cmd.scan").inc();
             let known = ctx.manifest.tables.iter().any(|(name, _)| *name == table)
                 || ctx
@@ -496,8 +496,7 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
                     ShardJob {
                         cmd: ShardCmd::Scan {
                             table: table.clone(),
-                            filter: filter.clone(),
-                            agg: agg.clone(),
+                            spec: spec.clone(),
                         },
                         tag: target,
                         reply: reply_tx.clone(),

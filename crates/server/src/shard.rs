@@ -14,12 +14,11 @@
 //! come back as replies, never as a dead worker: the worker loop only exits
 //! when every job sender is gone.
 
-use crate::protocol::ScanAgg;
 use leco_bench::report::Json;
 use leco_columnar::{Partial, TableFile};
-use leco_ingest::{Agg as IngestAgg, LiveTable, ScanSpec};
+use leco_ingest::LiveTable;
 use leco_kvstore::Store;
-use leco_scan::Scanner;
+use leco_scan::{ScanError, ScanSpec, Scanner};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 
@@ -60,10 +59,8 @@ pub enum ShardCmd {
     Scan {
         /// Table name.
         table: String,
-        /// Optional `lo <= col <= hi` predicate.
-        filter: Option<(String, u64, u64)>,
-        /// Aggregate to compute.
-        agg: ScanAgg,
+        /// The filter and aggregate, columns by name.
+        spec: ScanSpec,
     },
     /// Ingest one row into a live table (the row's key routed it here).
     Put {
@@ -191,9 +188,7 @@ fn put_rows(data: &ShardData, table: &str, rows: &[&[u64]]) -> Vec<ShardReply> {
 
 fn execute(data: &ShardData, cmd: &ShardCmd, scan_threads: usize) -> ShardReply {
     match cmd {
-        ShardCmd::Scan { table, filter, agg } => {
-            execute_scan(data, table, filter, agg, scan_threads)
-        }
+        ShardCmd::Scan { table, spec } => execute_scan(data, table, spec, scan_threads),
         ShardCmd::Put { table, row } => put_rows(data, table, &[row])
             .pop()
             .expect("one reply per row"),
@@ -231,72 +226,31 @@ fn execute(data: &ShardData, cmd: &ShardCmd, scan_threads: usize) -> ShardReply 
     }
 }
 
-fn execute_scan(
-    data: &ShardData,
-    table: &str,
-    filter: &Option<(String, u64, u64)>,
-    agg: &ScanAgg,
-    scan_threads: usize,
-) -> ShardReply {
-    if let Some(live) = data.live_tables.get(table) {
-        return execute_live_scan(data.id, live, filter, agg, scan_threads);
-    }
-    let Some(file) = data.tables.get(table) else {
+/// One shard's share of a scan: a live table through [`LiveTable::scan`], a
+/// static one through a [`Scanner`] built from the same `spec`, each giving
+/// the same exact [`Partial`].  A column the table does not have is the
+/// resolver's [`ScanError::ColumnNotFound`] on either kind, answered `400`.
+fn execute_scan(data: &ShardData, table: &str, spec: &ScanSpec, scan_threads: usize) -> ShardReply {
+    let (scanned, failed) = if let Some(live) = data.live_tables.get(table) {
+        (live.scan(spec, scan_threads), "live scan failed")
+    } else if let Some(file) = data.tables.get(table) {
+        let scanned =
+            Scanner::from_spec(file, spec).and_then(|scan| scan.run_partial(scan_threads));
+        (
+            scanned
+                .map(|(partial, _)| partial)
+                .map_err(std::io::Error::other),
+            "scan failed",
+        )
+    } else {
         return ShardReply::BadRequest(format!("unknown table {table:?}"));
     };
-    let mut scan = Scanner::new(file);
-    if let Some((col, lo, hi)) = filter {
-        scan = match scan.try_filter(col, *lo, *hi) {
-            Ok(scan) => scan,
-            Err(e) => return ShardReply::BadRequest(e.to_string()),
-        };
-    }
-    scan = match agg {
-        ScanAgg::Count => scan,
-        ScanAgg::Sum(col) => match scan.try_sum(col) {
-            Ok(scan) => scan,
-            Err(e) => return ShardReply::BadRequest(e.to_string()),
-        },
-        ScanAgg::GroupByAvg(id, val) => match scan.try_group_by_avg(id, val) {
-            Ok(scan) => scan,
-            Err(e) => return ShardReply::BadRequest(e.to_string()),
-        },
-    };
-    match scan.run_partial(scan_threads) {
-        Ok((partial, _)) => ShardReply::Scan(Box::new(partial)),
-        Err(e) => ShardReply::Error(format!("shard {}: scan failed: {e}", data.id)),
-    }
-}
-
-/// A shard-local scan over a live table: snapshot-consistent across
-/// memtable, frozen segments and compacted files, returning the same exact
-/// [`Partial`] as a [`Scanner`] run — so a sharded scan of a live table
-/// merges bit-identically too.
-fn execute_live_scan(
-    shard_id: usize,
-    live: &LiveTable,
-    filter: &Option<(String, u64, u64)>,
-    agg: &ScanAgg,
-    scan_threads: usize,
-) -> ShardReply {
-    let mut spec = ScanSpec::count();
-    if let Some((col, lo, hi)) = filter {
-        spec = spec.filter(col, *lo, *hi);
-    }
-    spec.agg = match agg {
-        ScanAgg::Count => IngestAgg::Count,
-        ScanAgg::Sum(col) => IngestAgg::Sum(col.clone()),
-        ScanAgg::GroupByAvg(id, val) => IngestAgg::GroupAvg {
-            id_col: id.clone(),
-            val_col: val.clone(),
-        },
-    };
-    match live.scan(&spec, scan_threads) {
+    match scanned {
         Ok(partial) => ShardReply::Scan(Box::new(partial)),
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
-            ShardReply::BadRequest(e.to_string())
-        }
-        Err(e) => ShardReply::Error(format!("shard {shard_id}: live scan failed: {e}")),
+        Err(e) => match e.get_ref().and_then(|inner| inner.downcast_ref()) {
+            Some(ScanError::ColumnNotFound(_)) => ShardReply::BadRequest(e.to_string()),
+            _ => ShardReply::Error(format!("shard {}: {failed}: {e}", data.id)),
+        },
     }
 }
 
@@ -438,8 +392,7 @@ mod tests {
                 },
                 (201, _) => ShardCmd::Scan {
                     table: "nosuch".into(),
-                    filter: None,
-                    agg: ScanAgg::Count,
+                    spec: ScanSpec::count(),
                 },
                 (_, 0) => ShardCmd::Del {
                     table: table.into(),
@@ -447,13 +400,11 @@ mod tests {
                 },
                 (_, 1) => ShardCmd::Scan {
                     table: table.into(),
-                    filter: Some(("k".into(), 5, 25)),
-                    agg: ScanAgg::Sum("v".into()),
+                    spec: ScanSpec::count().filter("k", 5, 25).sum("v"),
                 },
                 (_, 2) => ShardCmd::Scan {
                     table: table.into(),
-                    filter: None,
-                    agg: ScanAgg::GroupByAvg("k".into(), "v".into()),
+                    spec: ScanSpec::count().group_by_avg("k", "v"),
                 },
                 _ => ShardCmd::Put {
                     table: table.into(),
@@ -503,14 +454,14 @@ mod tests {
                     assert_eq!(reply, ShardReply::Acked);
                     model.entry(table).or_default().retain(|r| r[0] != *key);
                 }
-                ShardCmd::Scan { table, filter, .. } if table != "nosuch" => {
+                ShardCmd::Scan { table, spec } if table != "nosuch" => {
                     let ShardReply::Scan(partial) = &reply else {
                         panic!("scan of {table} answered {reply:?}");
                     };
                     let rows = model.get(table.as_str()).map_or(&[][..], Vec::as_slice);
-                    let (count, sum) = model_scan(rows, filter.is_some());
+                    let (count, sum) = model_scan(rows, spec.filter.is_some());
                     assert_eq!(partial.rows_selected, count, "scan of {table}");
-                    if filter.is_some() {
+                    if spec.filter.is_some() {
                         assert_eq!(partial.sum, sum, "scan of {table}");
                     }
                 }
@@ -556,8 +507,7 @@ mod tests {
         for table in ["a", "b"] {
             let sum = ShardCmd::Scan {
                 table: table.into(),
-                filter: None,
-                agg: ScanAgg::Sum("v".into()),
+                spec: ScanSpec::count().sum("v"),
             };
             let (got, want) = (execute(&shard, &sum, 1), execute(&twin, &sum, 1));
             assert_eq!(got, want, "final scan of {table}");
