@@ -142,6 +142,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// is per-worker (scratch buffers, partial aggregates), tasks are stolen
 /// freely, and the per-worker states come back for a final merge.
 ///
+/// A worker without a task of its own would only build a state and exit,
+/// so at most `n_tasks` workers are spawned (at least one).  With no tasks
+/// at all, `init(0)` runs once on the calling thread and nothing is
+/// spawned.
+///
 /// `task(state, t)` is invoked exactly once per task index `t` unless a
 /// worker panics, in which case the pool drains, the remaining states are
 /// dropped and `Err(PoolError::WorkerPanicked)` is returned.
@@ -156,7 +161,15 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) + Sync,
 {
-    let queues = WorkQueues::new(n_threads, n_tasks);
+    if n_tasks == 0 {
+        return catch_unwind(AssertUnwindSafe(|| vec![init(0)])).map_err(|payload| {
+            PoolError::WorkerPanicked {
+                worker: 0,
+                message: panic_message(payload),
+            }
+        });
+    }
+    let queues = WorkQueues::new(n_threads.min(n_tasks), n_tasks);
     let states: Vec<Option<S>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..queues.n_workers())
             .map(|w| {
@@ -240,14 +253,25 @@ mod tests {
 
     #[test]
     fn zero_tasks_and_more_threads_than_tasks() {
-        let states = run_with_worker_state(8, 0, |_| 7usize, |_, _| unreachable!()).unwrap();
-        assert_eq!(states, vec![7; 8]);
-        // Two tasks on sixteen workers: fourteen start with an empty deque
-        // and find nothing to steal, yet each task still runs exactly once.
+        // No tasks: one state, built on the calling thread.
+        let caller = std::thread::current().id();
+        let states = run_with_worker_state(
+            8,
+            0,
+            |w| {
+                assert_eq!(std::thread::current().id(), caller);
+                w + 7
+            },
+            |_, _| unreachable!(),
+        )
+        .unwrap();
+        assert_eq!(states, vec![7]);
+        // Two tasks on sixteen threads: only two workers are spawned, and
+        // each task still runs exactly once.
         let states =
             run_with_worker_state(16, 2, |_| Vec::new(), |ran: &mut Vec<usize>, t| ran.push(t))
                 .unwrap();
-        assert_eq!(states.len(), 16);
+        assert_eq!(states.len(), 2);
         let mut ran: Vec<usize> = states.into_iter().flatten().collect();
         ran.sort_unstable();
         assert_eq!(ran, vec![0, 1]);

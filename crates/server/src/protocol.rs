@@ -1,17 +1,21 @@
 //! Wire protocol: length-prefixed frames carrying text commands and JSON
-//! replies.
+//! or binary replies.
 //!
 //! A frame is a 4-byte little-endian payload length followed by that many
 //! payload bytes.  Requests are UTF-8 command lines (`GET`, `MGET`, `SCAN`,
 //! `PUT`, `DEL`, `FLUSH`, `STATS`); responses are JSON objects rendered
 //! with the hand-rolled
-//! [`leco_bench::report::Json`] machinery.  Every response carries a
+//! [`leco_bench::report::Json`] machinery, except a successful `SCAN`,
+//! whose exact integer result travels as one binary frame
+//! ([`encode_scan_reply`]) that the client turns back into the same JSON
+//! object ([`decode_scan_reply`]).  Every response carries a
 //! `code` field using HTTP-flavoured numbers: `200` success, `400` the
 //! request was malformed (the connection survives), `500` the server failed
 //! to execute a well-formed request.  See `docs/SERVING.md` for the byte
 //! layout with a worked example.
 
 use leco_bench::report::Json;
+use leco_columnar::Partial;
 use leco_scan::{Agg, ScanSpec};
 
 /// Hard ceiling on a frame payload.  A length prefix beyond this is treated
@@ -273,6 +277,127 @@ impl FrameCursor {
     }
 }
 
+/// First payload byte of a binary `SCAN` reply.  It is a UTF-8
+/// continuation byte, so no JSON reply — which always starts with `{` —
+/// and no UTF-8 text at all can start with it.
+pub const SCAN_REPLY_TAG: u8 = 0x80;
+
+/// Append the payload of a `200` `SCAN` reply for `partial`, merged from
+/// `shards` shards: [`SCAN_REPLY_TAG`], then LEB128 varints for
+/// `rows_selected`, `rows_scanned`, `morsels`, `shards`, `sum` and the
+/// group count, then one `(id delta, sum, count)` entry per group in
+/// ascending id order (the first id is absolute).
+pub fn encode_scan_reply(out: &mut Vec<u8>, partial: &Partial, shards: usize) {
+    let groups = partial.sorted_groups();
+    out.push(SCAN_REPLY_TAG);
+    for field in [
+        partial.rows_selected as u128,
+        partial.rows_scanned as u128,
+        partial.morsels as u128,
+        shards as u128,
+        partial.sum,
+        groups.len() as u128,
+    ] {
+        put_varint(out, field);
+    }
+    let mut prev = 0u64;
+    for (id, sum, count) in groups {
+        put_varint(out, (id - prev) as u128);
+        put_varint(out, sum);
+        put_varint(out, count as u128);
+        prev = id;
+    }
+}
+
+/// Decode a binary `SCAN` reply into the JSON object a client sees:
+/// `code`, `status`, `rows_selected`, `rows_scanned`, `morsels`, `shards`,
+/// `sum` (a decimal string — a `u128` does not survive an f64) and `groups`
+/// as `[[id, avg], …]`, with each average divided the way
+/// [`Partial::group_avgs`] divides.
+///
+/// A truncated or corrupt frame is an `Err`, never a panic; allocation is
+/// bounded by the payload's length, since every group takes at least three
+/// bytes.
+pub fn decode_scan_reply(payload: &[u8]) -> Result<Json, String> {
+    match payload.first() {
+        Some(&SCAN_REPLY_TAG) => {}
+        Some(tag) => return Err(format!("unknown reply tag {tag:#04x}")),
+        None => return Err("empty reply".into()),
+    }
+    let mut pos = 1;
+    let u64_field = |pos: &mut usize| get_varint(payload, pos, 64).map(|v| v as u64);
+    let rows_selected = u64_field(&mut pos)?;
+    let rows_scanned = u64_field(&mut pos)?;
+    let morsels = u64_field(&mut pos)?;
+    let shards = u64_field(&mut pos)?;
+    let sum = get_varint(payload, &mut pos, 128)?;
+    let n_groups = u64_field(&mut pos)?;
+    if n_groups > ((payload.len() - pos) / 3) as u64 {
+        return Err(format!("{n_groups} groups cannot fit the frame"));
+    }
+    let mut groups = Vec::with_capacity(n_groups as usize);
+    let mut id = 0u64;
+    for g in 0..n_groups {
+        let delta = u64_field(&mut pos)?;
+        id = match id.checked_add(delta) {
+            Some(next) if g == 0 || delta > 0 => next,
+            _ => return Err(format!("group {g}: id delta {delta} after id {id}")),
+        };
+        let group_sum = get_varint(payload, &mut pos, 128)?;
+        let count = u64_field(&mut pos)?;
+        if count == 0 {
+            return Err(format!("group {g}: zero count"));
+        }
+        let avg = group_sum as f64 / count as f64;
+        groups.push(Json::Arr(vec![Json::Num(id as f64), Json::Num(avg)]));
+    }
+    if pos != payload.len() {
+        return Err(format!("{} trailing bytes", payload.len() - pos));
+    }
+    Ok(ok_response(vec![
+        ("rows_selected".into(), Json::Num(rows_selected as f64)),
+        ("rows_scanned".into(), Json::Num(rows_scanned as f64)),
+        ("morsels".into(), Json::Num(morsels as f64)),
+        ("shards".into(), Json::Num(shards as f64)),
+        ("sum".into(), Json::Str(sum.to_string())),
+        ("groups".into(), Json::Arr(groups)),
+    ]))
+}
+
+/// Append `value` as an unsigned LEB128 varint: seven bits per byte, low
+/// group first, the high bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut value: u128) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Read one LEB128 varint of at most `bits` bits at `*pos`.  Rejects a
+/// truncated varint, one whose value overflows `bits`, and a non-canonical
+/// one that ends in a zero continuation group.
+fn get_varint(bytes: &[u8], pos: &mut usize, bits: u32) -> Result<u128, String> {
+    let mut value = 0u128;
+    let mut shift = 0u32;
+    loop {
+        let &byte = bytes.get(*pos).ok_or("truncated scan reply")?;
+        *pos += 1;
+        let low = (byte & 0x7f) as u128;
+        if shift >= bits || (bits - shift < 7 && low >> (bits - shift) != 0) {
+            return Err(format!("varint overflows {bits} bits"));
+        }
+        value |= low << shift;
+        if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err("over-long varint".into());
+            }
+            return Ok(value);
+        }
+        shift += 7;
+    }
+}
+
 /// `{"code":200,"status":"ok", …fields}`.
 pub fn ok_response(fields: Vec<(String, Json)>) -> Json {
     let mut obj = vec![
@@ -304,6 +429,221 @@ pub fn response_code(reply: &Json) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The JSON object the server rendered for a `SCAN` before replies
+    /// went binary: the oracle [`decode_scan_reply`] must reproduce.
+    fn scan_reply_json(merged: &Partial, n_shards: usize) -> Json {
+        let groups = merged.group_avgs();
+        ok_response(vec![
+            (
+                "rows_selected".into(),
+                Json::Num(merged.rows_selected as f64),
+            ),
+            ("rows_scanned".into(), Json::Num(merged.rows_scanned as f64)),
+            ("morsels".into(), Json::Num(merged.morsels as f64)),
+            ("shards".into(), Json::Num(n_shards as f64)),
+            ("sum".into(), Json::Str(merged.sum.to_string())),
+            (
+                "groups".into(),
+                Json::Arr(
+                    groups
+                        .iter()
+                        .map(|&(id, avg)| Json::Arr(vec![Json::Num(id as f64), Json::Num(avg)]))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    fn encoded(partial: &Partial, shards: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_scan_reply(&mut out, partial, shards);
+        out
+    }
+
+    /// Spread a uniform draw over every magnitude: shift it right by a
+    /// random amount, so small, mid-sized and maximal values all occur.
+    fn spread(x: u128, shift: u8) -> u128 {
+        x >> (shift % 128)
+    }
+
+    fn partial_from(ids: &[u64], sums: &[u128], counts: &[u64]) -> Partial {
+        let mut p = Partial {
+            rows_scanned: ids.len() as u64 * 3,
+            rows_selected: ids.len() as u64,
+            morsels: ids.len() / 7,
+            sum: sums.iter().fold(0u128, |a, &s| a.wrapping_add(s)),
+            ..Partial::default()
+        };
+        for (i, &id) in ids.iter().enumerate() {
+            p.groups.insert(id, (sums[i], counts[i]));
+        }
+        p
+    }
+
+    proptest! {
+        #[test]
+        fn scan_reply_round_trips_to_the_json_oracle(
+            ids in proptest::collection::btree_set(any::<u64>(), 0..2_001),
+            raw_sums in proptest::collection::vec(any::<u128>(), 2_000),
+            shifts in proptest::collection::vec(any::<u8>(), 2_000),
+            raw_counts in proptest::collection::vec(any::<u64>(), 2_000),
+            shards in 1usize..=4,
+        ) {
+            let ids: Vec<u64> = ids.into_iter().collect();
+            let sums: Vec<u128> = raw_sums
+                .iter()
+                .zip(&shifts)
+                .map(|(&s, &k)| spread(s, k))
+                .collect();
+            let counts: Vec<u64> = raw_counts
+                .iter()
+                .zip(&shifts)
+                .map(|(&c, &k)| (spread(c as u128, k / 2) as u64).max(1))
+                .collect();
+            let p = partial_from(&ids, &sums, &counts);
+            let frame = encoded(&p, shards);
+            let json = decode_scan_reply(&frame).unwrap();
+            let oracle = scan_reply_json(&p, shards);
+            prop_assert_eq!(json.render(), oracle.render());
+            prop_assert!(frame.len() <= oracle.render().len());
+            let got = json.get("groups").and_then(Json::as_arr).unwrap();
+            let want = p.group_avgs();
+            prop_assert_eq!(got.len(), want.len());
+            for (pair, &(id, avg)) in got.iter().zip(&want) {
+                let pair = pair.as_arr().unwrap();
+                prop_assert_eq!(pair[0].as_f64().unwrap(), id as f64);
+                prop_assert_eq!(pair[1].as_f64().unwrap().to_bits(), avg.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn scan_reply_edges_round_trip() {
+        let extremes = partial_from(
+            &[0, 1, u64::MAX - 1, u64::MAX],
+            &[0, u128::MAX, 1, u128::MAX],
+            &[1, u64::MAX, 3, 1],
+        );
+        let mut maxed = extremes.clone();
+        maxed.rows_scanned = u64::MAX;
+        maxed.rows_selected = u64::MAX;
+        maxed.morsels = usize::MAX;
+        maxed.sum = u128::MAX;
+        for (p, shards) in [(Partial::default(), 1), (extremes, 4), (maxed, 2)] {
+            let json = decode_scan_reply(&encoded(&p, shards)).unwrap();
+            assert_eq!(json.render(), scan_reply_json(&p, shards).render());
+        }
+    }
+
+    /// Valid frames covering zero, one and many groups, small and huge
+    /// values.
+    fn sample_frames() -> Vec<Vec<u8>> {
+        vec![
+            encoded(&Partial::default(), 1),
+            encoded(&partial_from(&[7], &[300], &[2]), 2),
+            encoded(
+                &partial_from(
+                    &[0, 5, 130, u64::MAX],
+                    &[1, 1 << 70, 0, u128::MAX],
+                    &[1, 9, 200, 4],
+                ),
+                4,
+            ),
+        ]
+    }
+
+    #[test]
+    fn scan_reply_rejects_corrupt_frames() {
+        let group_frame = encoded(&partial_from(&[7, 9], &[300, 5], &[2, 1]), 2);
+        // tag, rows_selected 2, rows_scanned 6, morsels 0, shards 2,
+        // sum 305 (0xB1 0x02), 2 groups, then (7, 300 = 0xAC 0x02, 2)
+        // and (delta 2, 5, 1).
+        assert_eq!(
+            group_frame,
+            [0x80, 2, 6, 0, 2, 0xB1, 0x02, 2, 7, 0xAC, 0x02, 2, 2, 5, 1]
+        );
+        let with = |at: usize, bytes: &[u8]| {
+            let mut f = group_frame[..at].to_vec();
+            f.extend_from_slice(bytes);
+            f
+        };
+        let mut eleven_byte = vec![0x80u8, 0xFF];
+        eleven_byte.extend_from_slice(&[0xFF; 9]);
+        eleven_byte.push(0x01);
+        let unknown_tag: Vec<u8> = [0x81].iter().chain(&group_frame[1..]).copied().collect();
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("empty reply", vec![]),
+            ("unknown reply tag 0x81", unknown_tag),
+            ("unknown reply tag 0x7b", b"{\"code\":200}".to_vec()),
+            ("truncated", vec![0x80, 0x85]),
+            ("truncated", group_frame[..5].to_vec()),
+            ("truncated", group_frame[..14].to_vec()),
+            ("over-long", vec![0x80, 0x82, 0x00, 6, 0, 2, 0, 0]),
+            ("overflows 64", eleven_byte),
+            (
+                "overflows 64",
+                vec![
+                    0x80, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02,
+                ],
+            ),
+            ("zero count", with(12, &[2, 5, 0])),
+            ("id delta 0", with(12, &[0, 5, 1])),
+            (
+                "after id 7",
+                with(
+                    12,
+                    &[
+                        0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 5, 1,
+                    ],
+                ),
+            ),
+            ("65536 groups cannot fit", {
+                let mut f = with(7, &[0x80, 0x80, 0x04]);
+                f.extend_from_slice(&group_frame[8..]);
+                f
+            }),
+            ("1 trailing bytes", with(15, &[0])),
+        ];
+        for (want, frame) in cases {
+            let err = decode_scan_reply(&frame).unwrap_err();
+            assert!(err.contains(want), "{frame:?}: {err:?} lacks {want:?}");
+        }
+        assert!(decode_scan_reply(&group_frame).is_ok());
+        // u128 sums: 19 bytes hold 128 bits, a 20th is over-long, and a
+        // 19th byte above 0x03 overflows.
+        let mut max_sum = vec![0x80, 0, 0, 0, 1];
+        put_varint(&mut max_sum, u128::MAX);
+        assert_eq!(max_sum.len(), 5 + 19);
+        let mut ok = max_sum.clone();
+        ok.push(0);
+        assert!(decode_scan_reply(&ok).is_ok());
+        let mut overflow = max_sum.clone();
+        *overflow.last_mut().unwrap() = 0x07;
+        overflow.push(0);
+        assert!(decode_scan_reply(&overflow).is_err());
+    }
+
+    #[test]
+    fn scan_reply_truncations_and_bit_flips_are_errors_or_well_formed() {
+        for frame in sample_frames() {
+            for len in 0..frame.len() {
+                assert!(decode_scan_reply(&frame[..len]).is_err(), "prefix {len}");
+            }
+            for bit in 0..frame.len() * 8 {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(json) = decode_scan_reply(&flipped) {
+                    let text = json.render();
+                    assert_eq!(Json::parse(&text).unwrap().render(), text);
+                    assert_eq!(response_code(&json), 200);
+                    let groups = json.get("groups").and_then(Json::as_arr).unwrap();
+                    assert!(groups.len() <= flipped.len() / 3);
+                }
+            }
+        }
+    }
 
     #[test]
     fn parses_the_full_grammar() {

@@ -17,8 +17,8 @@
 //! its current batch, drains the shard workers and joins every thread.
 
 use crate::protocol::{
-    error_response, frame_into, ok_response, parse_request, response_code, FrameCursor, FrameError,
-    Request,
+    encode_scan_reply, error_response, ok_response, parse_request, response_code, FrameCursor,
+    FrameError, Request, MAX_FRAME,
 };
 use crate::shard::{run_shard_worker, shard_for_key, Manifest, ShardCmd, ShardJob, ShardReply};
 use crate::ShardSet;
@@ -211,6 +211,7 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
         // waiting on any reply: that is what turns a pipelining client into
         // parallel work across the shards.
         loop {
+            out.clear();
             let mut batch: Vec<Pending> = Vec::new();
             loop {
                 if batch.len() >= ctx.config.max_batch {
@@ -227,7 +228,10 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
                         }
                         write_reply(
                             &mut out,
-                            error_response(400, &FrameError::Oversized(len).to_string()),
+                            Reply::Json(error_response(
+                                400,
+                                &FrameError::Oversized(len).to_string(),
+                            )),
                         );
                         let _ = stream.write_all(&out);
                         return;
@@ -237,7 +241,6 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
             if batch.is_empty() {
                 break;
             }
-            out.clear();
             for pending in batch {
                 write_reply(&mut out, pending.resolve(&ctx));
             }
@@ -248,11 +251,42 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
     }
 }
 
-fn write_reply(out: &mut Vec<u8>, reply: Json) {
-    if response_code(&reply) != 200 {
+/// A reply ready to be framed.
+enum Reply {
+    /// Every reply but a successful `SCAN`: one JSON object.
+    Json(Json),
+    /// A successful `SCAN`: the shards' merged partial and their count,
+    /// sent as one binary frame.
+    Scan(Box<Partial>, usize),
+}
+
+/// Append `reply` as one frame to `out`: the payload is written in place
+/// and its length patched in afterwards.  A payload over [`MAX_FRAME`]
+/// becomes a JSON `500` instead, because the client would have to drop the
+/// connection on it.
+fn write_reply(out: &mut Vec<u8>, reply: Reply) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let ok = match &reply {
+        Reply::Json(json) => {
+            out.extend_from_slice(json.render().as_bytes());
+            response_code(json) == 200
+        }
+        Reply::Scan(partial, shards) => {
+            encode_scan_reply(out, partial, *shards);
+            true
+        }
+    };
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME {
+        out.truncate(start);
+        let capped = error_response(500, "reply exceeds the frame cap");
+        return write_reply(out, Reply::Json(capped));
+    }
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    if !ok {
         leco_obs::counter!("srv.errors").inc();
     }
-    frame_into(out, reply.render().as_bytes());
 }
 
 /// A dispatched request: either already answerable or waiting on shards.
@@ -280,7 +314,7 @@ enum WaitKind {
 impl Pending {
     /// Wait for the outstanding shard replies (if any) and build the
     /// response, recording the per-command latency histogram.
-    fn resolve(self, ctx: &ConnContext) -> Json {
+    fn resolve(self, ctx: &ConnContext) -> Reply {
         match self {
             Pending::Ready {
                 reply,
@@ -288,7 +322,7 @@ impl Pending {
                 started,
             } => {
                 leco_obs::histogram(latency).record(started.elapsed_ns());
-                reply
+                Reply::Json(reply)
             }
             Pending::Waiting {
                 rx,
@@ -303,7 +337,7 @@ impl Pending {
                         Ok(reply) => replies.push(reply),
                         Err(_) => {
                             leco_obs::histogram(latency).record(started.elapsed_ns());
-                            return error_response(500, "shard reply timed out");
+                            return Reply::Json(error_response(500, "shard reply timed out"));
                         }
                     }
                 }
@@ -531,27 +565,30 @@ fn send_job(ctx: &ConnContext, target: usize, job: ShardJob) {
     }
 }
 
-fn assemble(kind: WaitKind, mut replies: Vec<(usize, ShardReply)>) -> Json {
+fn assemble(kind: WaitKind, mut replies: Vec<(usize, ShardReply)>) -> Reply {
     // Deterministic merge order regardless of shard completion order.
     replies.sort_by_key(|&(tag, _)| tag);
     // Any failure dominates: 400 before 500 so the client sees its own
     // mistake rather than a cascade.
     for (_, reply) in &replies {
         if let ShardReply::BadRequest(message) = reply {
-            return error_response(400, message);
+            return Reply::Json(error_response(400, message));
         }
     }
     for (_, reply) in &replies {
         if let ShardReply::Error(message) = reply {
-            return error_response(500, message);
+            return Reply::Json(error_response(500, message));
         }
     }
+    let mismatched = || Reply::Json(error_response(500, "shard returned a mismatched reply"));
     match kind {
         WaitKind::Write => match replies.pop() {
             // The shard replies only after its WAL commit, so reaching here
             // means the write is on stable storage.
-            Some((_, ShardReply::Acked)) => ok_response(vec![("durable".into(), Json::Bool(true))]),
-            _ => error_response(500, "shard returned a mismatched reply"),
+            Some((_, ShardReply::Acked)) => {
+                Reply::Json(ok_response(vec![("durable".into(), Json::Bool(true))]))
+            }
+            _ => mismatched(),
         },
         WaitKind::Flush => {
             let mut rows_flushed = 0u64;
@@ -562,46 +599,26 @@ fn assemble(kind: WaitKind, mut replies: Vec<(usize, ShardReply)>) -> Json {
                     files_written: files,
                 } = reply
                 else {
-                    return error_response(500, "shard returned a mismatched reply");
+                    return mismatched();
                 };
                 rows_flushed += rows;
                 files_written += files;
             }
-            ok_response(vec![
+            Reply::Json(ok_response(vec![
                 ("rows_flushed".into(), Json::Num(rows_flushed as f64)),
                 ("files_written".into(), Json::Num(files_written as f64)),
-            ])
+            ]))
         }
         WaitKind::Scan => {
-            let mut merged = Partial::default();
+            let mut merged = Box::<Partial>::default();
             let n_shards = replies.len();
             for (_, reply) in replies {
                 let ShardReply::Scan(partial) = reply else {
-                    return error_response(500, "shard returned a mismatched reply");
+                    return mismatched();
                 };
                 merged.merge(*partial);
             }
-            let groups = merged.group_avgs();
-            ok_response(vec![
-                (
-                    "rows_selected".into(),
-                    Json::Num(merged.rows_selected as f64),
-                ),
-                ("rows_scanned".into(), Json::Num(merged.rows_scanned as f64)),
-                ("morsels".into(), Json::Num(merged.morsels as f64)),
-                ("shards".into(), Json::Num(n_shards as f64)),
-                // u128 sums survive JSON as strings (f64 would round).
-                ("sum".into(), Json::Str(merged.sum.to_string())),
-                (
-                    "groups".into(),
-                    Json::Arr(
-                        groups
-                            .iter()
-                            .map(|&(id, avg)| Json::Arr(vec![Json::Num(id as f64), Json::Num(avg)]))
-                            .collect(),
-                    ),
-                ),
-            ])
+            Reply::Scan(merged, n_shards)
         }
     }
 }
@@ -667,4 +684,71 @@ fn stats_response(ctx: &ConnContext) -> Json {
             ]),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::decode_scan_reply;
+
+    fn frames(wire: &[u8]) -> Vec<Vec<u8>> {
+        let mut cursor = FrameCursor::new();
+        cursor.push(wire);
+        let mut out = Vec::new();
+        while let Some(frame) = cursor.next_frame().unwrap() {
+            out.push(frame);
+        }
+        assert_eq!(cursor.pending_bytes(), 0);
+        out
+    }
+
+    fn capped_error() -> String {
+        error_response(500, "reply exceeds the frame cap").render()
+    }
+
+    #[test]
+    fn replies_over_the_frame_cap_become_a_json_500() {
+        let mut huge = Partial::default();
+        for id in 0..40_000u64 {
+            huge.groups.insert(id, (u128::MAX, u64::MAX));
+        }
+        let mut small = Partial {
+            rows_selected: 3,
+            ..Partial::default()
+        };
+        small.groups.insert(9, (10, 4));
+        let mut out = Vec::new();
+        write_reply(&mut out, Reply::Json(ok_response(vec![])));
+        write_reply(
+            &mut out,
+            Reply::Json(ok_response(vec![(
+                "value".into(),
+                Json::Str("x".repeat(MAX_FRAME)),
+            )])),
+        );
+        write_reply(&mut out, Reply::Scan(Box::new(huge), 2));
+        write_reply(&mut out, Reply::Scan(Box::new(small.clone()), 1));
+        let got = frames(&out);
+        assert_eq!(got.len(), 4);
+        assert_eq!(got[0], ok_response(vec![]).render().as_bytes());
+        assert_eq!(got[1], capped_error().as_bytes());
+        assert_eq!(got[2], capped_error().as_bytes());
+        let mut want = Vec::new();
+        encode_scan_reply(&mut want, &small, 1);
+        assert_eq!(got[3], want);
+        let scan = decode_scan_reply(&got[3]).unwrap();
+        assert_eq!(scan.get("groups").unwrap().render(), "[[9,2.5]]");
+    }
+
+    #[test]
+    fn a_reply_exactly_at_the_frame_cap_is_sent() {
+        let empty = ok_response(vec![("value".into(), Json::Str(String::new()))]);
+        let pad = MAX_FRAME - empty.render().len();
+        let full = ok_response(vec![("value".into(), Json::Str("y".repeat(pad)))]);
+        let mut out = Vec::new();
+        write_reply(&mut out, Reply::Json(full.clone()));
+        let got = frames(&out);
+        assert_eq!(got[0].len(), MAX_FRAME);
+        assert_eq!(got[0], full.render().as_bytes());
+    }
 }

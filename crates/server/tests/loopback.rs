@@ -202,6 +202,25 @@ fn malformed_requests_get_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn corrupt_length_after_answered_requests_sends_only_the_error() {
+    let dir = tmp_dir("corrupt_after_replies");
+    let server = start_server(&dir, 2, 5_000, 100);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let reply = client.request("GET key000042").unwrap();
+    assert_eq!(get_value(&reply).as_deref(), Some("value-42"));
+    let reply = client.request("SCAN sensors SUM val").unwrap();
+    assert_eq!(response_code(&reply), 200, "{}", reply.render());
+    // The replies already written must not be sent again ahead of the
+    // error that closes the connection.
+    client.send_raw(&(u32::MAX).to_le_bytes()).unwrap();
+    let reply = client.recv().unwrap();
+    assert_eq!(response_code(&reply), 400, "{}", reply.render());
+    assert!(client.recv().is_err(), "connection should be closed");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn scan_over_tcp_bit_identical_across_shard_counts() {
     let rows = 30_000u64;
     let (ts, id, val) = test_columns(rows);
