@@ -15,7 +15,7 @@
 //! (also re-parsed as a self-check) and are gated by `bench_check`.
 //!
 //! A third experiment exercises the observability layer itself: registry
-//! snapshot deltas around a deterministic scan (morsel/row/prefetch
+//! snapshot deltas around a deterministic scan (morsel/row/chunk-read
 //! accounting must balance exactly), a deterministic LRU-cache workload
 //! (hit rates and evictions are exact), and an interleaved obs-on vs.
 //! obs-off A/B of the same group-by scan whose overhead ratio `bench_check
@@ -246,15 +246,15 @@ const SWEEP_THREADS: usize = 4;
 ///
 /// Three sections:
 ///
-/// * `deterministic` — registry snapshot deltas around a read-ahead-free
-///   scan plus a seeded LRU-cache workload.  Every value is exact given
-///   `LECO_N` and the data-set seed, so `bench_check` compares them with
-///   `Metric::Exact` (any drift, either direction, is a counting bug).
+/// * `deterministic` — registry snapshot deltas around a scan plus a
+///   seeded LRU-cache workload.  Every value is exact given `LECO_N` and
+///   the data-set seed, so `bench_check` compares them with `Metric::Exact`
+///   (any drift, either direction, is a counting bug).
 /// * `overhead` — interleaved obs-on vs. obs-off best-of-5 of the same
 ///   group-by scan; `overhead_ratio` is gated absolutely by
 ///   `bench_check --max-obs-overhead`.
-/// * `informational` — timing-dependent counters (steals, prefetch hits /
-///   stalls) from a read-ahead scan: reported, never gated.
+/// * `informational` — timing-dependent counters (work steals) from a
+///   second scan: reported, never gated.
 fn obs_experiment(table: &TableFile, rows: usize, lo: u64, hi: u64) -> std::io::Result<()> {
     println!();
     println!("# Observability — exact accounting, cache workloads, overhead A/B");
@@ -262,14 +262,13 @@ fn obs_experiment(table: &TableFile, rows: usize, lo: u64, hi: u64) -> std::io::
     leco_obs::set_enabled(true);
     let registry = leco_obs::Registry::global();
 
-    // ── Deterministic accounting: read-ahead off so every morsel's I/O is
-    // performed (and counted) exactly once by the worker that claims it.
+    // ── Deterministic accounting: every morsel's I/O is performed (and
+    // counted) exactly once by the worker that runs it.
     let before = registry.snapshot();
     let r = Scanner::new(table)
         .filter_col(0, lo, hi)
         .sorted_filter(true)
         .group_by_avg_cols(1, 2)
-        .read_ahead(false)
         .run(SWEEP_THREADS)
         .expect("deterministic scan should not fail");
     let after = registry.snapshot();
@@ -277,14 +276,11 @@ fn obs_experiment(table: &TableFile, rows: usize, lo: u64, hi: u64) -> std::io::
     let morsels = after.counter_delta(&before, "scan.morsels");
     let morsel_rows = after.counter_delta(&before, "scan.morsel_rows");
     let rows_selected = after.counter_delta(&before, "scan.rows_selected");
-    let prefetch_claims = after.counter_delta(&before, "scan.prefetch.hits")
-        + after.counter_delta(&before, "scan.prefetch.misses");
     let chunk_reads = after.hist_count_delta(&before, "columnar.chunk_io_ns");
     // The registry must agree with the engine's own result struct exactly.
     assert_eq!(morsels, r.morsels as u64, "morsel counter vs ScanResult");
     assert_eq!(morsel_rows, r.rows_scanned, "row counter vs ScanResult");
     assert_eq!(rows_selected, r.rows_selected, "selected counter");
-    assert_eq!(prefetch_claims, morsels, "claim() runs once per morsel");
     // filter col + two aggregate cols = 3 chunk reads per morsel.
     assert_eq!(chunk_reads, 3 * morsels, "chunk reads per morsel");
     assert_eq!(
@@ -342,7 +338,6 @@ fn obs_experiment(table: &TableFile, rows: usize, lo: u64, hi: u64) -> std::io::
         det_row("scan.morsels", morsels as f64),
         det_row("scan.morsel_rows", morsel_rows as f64),
         det_row("scan.rows_selected", rows_selected as f64),
-        det_row("scan.prefetch.claims", prefetch_claims as f64),
         det_row("columnar.chunk_reads", chunk_reads as f64),
         det_row("kv.cache.fits.hit_rate", fits_hit_rate),
         det_row("kv.cache.fits.evictions", fits.eviction_count() as f64),
@@ -386,33 +381,19 @@ fn obs_experiment(table: &TableFile, rows: usize, lo: u64, hi: u64) -> std::io::
         overhead_ratio * 100.0
     );
 
-    // ── Informational: a read-ahead scan's timing-dependent counters.
-    let ra_before = registry.snapshot();
+    // ── Informational: a scan's timing-dependent counters.
+    let info_before = registry.snapshot();
     Scanner::new(table)
         .filter_col(0, lo, hi)
         .sorted_filter(true)
         .group_by_avg_cols(1, 2)
         .run(SWEEP_THREADS)
-        .expect("read-ahead scan should not fail");
-    let ra_after = registry.snapshot();
-    let informational = vec![
-        det_row(
-            "scan.pool.steals",
-            ra_after.counter_delta(&ra_before, "scan.pool.steals") as f64,
-        ),
-        det_row(
-            "scan.prefetch.hits",
-            ra_after.counter_delta(&ra_before, "scan.prefetch.hits") as f64,
-        ),
-        det_row(
-            "scan.prefetch.misses",
-            ra_after.counter_delta(&ra_before, "scan.prefetch.misses") as f64,
-        ),
-        det_row(
-            "scan.prefetch.stalls",
-            ra_after.counter_delta(&ra_before, "scan.prefetch.stalls") as f64,
-        ),
-    ];
+        .expect("informational scan should not fail");
+    let info_after = registry.snapshot();
+    let informational = vec![det_row(
+        "scan.pool.steals",
+        info_after.counter_delta(&info_before, "scan.pool.steals") as f64,
+    )];
 
     let mut report = BenchReport::new("scan_obs");
     report.add(
@@ -454,7 +435,7 @@ fn obs_experiment(table: &TableFile, rows: usize, lo: u64, hi: u64) -> std::io::
         .and_then(Json::as_arr)
         .expect("deterministic section")
         .len();
-    assert_eq!(det, 9);
+    assert_eq!(det, 8);
     println!("BENCH_scan_obs.json re-parsed OK ({det} deterministic rows).");
     Ok(())
 }

@@ -114,11 +114,11 @@ pub fn rules_for(bench: &str) -> &'static [Rule] {
                 metric: Metric::LowerBetter,
             },
         ],
-        // Registry snapshot deltas around a read-ahead-free scan and a
-        // seeded cache workload: deterministic given `LECO_N` and the
-        // data-set seed, so they are held exactly in both directions.  The
-        // `overhead` and `informational` sections are machine-dependent and
-        // gated separately (`check_overhead`) or not at all.
+        // Registry snapshot deltas around a scan and a seeded cache
+        // workload: deterministic given `LECO_N` and the data-set seed, so
+        // they are held exactly in both directions.  The `overhead` and
+        // `informational` sections are machine-dependent and gated
+        // separately (`check_overhead`) or not at all.
         "scan_obs" => &[Rule {
             section: "deterministic",
             key_columns: &["metric"],

@@ -405,8 +405,8 @@ impl TableFile {
     }
 
     /// The in-memory encoded column of chunk `(rg, col)`, without charging
-    /// any I/O.  Compute-only consumers (e.g. a worker whose chunk bytes were
-    /// already fetched by the read-ahead stage) use this directly.
+    /// any I/O.  Compute-only consumers (e.g. a scan worker that read the
+    /// chunk's bytes into its own reused buffer) use this directly.
     pub fn chunk_encoded(&self, rg: usize, col: usize) -> &EncodedColumn {
         &self.row_groups[rg].columns[col]
     }
@@ -524,8 +524,8 @@ impl<'a> ChunkReader<'a> {
 
     /// Block-decompress stored chunk bytes (no-op when the file is not
     /// block-compressed), charging CPU to `stats`.  Split out of
-    /// [`Self::read_chunk`] so a read-ahead stage can run it off the workers'
-    /// critical path.
+    /// [`Self::read_chunk`] so a caller that reuses its read buffer across
+    /// chunks ([`Self::read_chunk_bytes`]) allocates none per read.
     pub fn decompress_chunk(&self, rg: usize, col: usize, stored: &[u8], stats: &mut QueryStats) {
         if self.table.options.block_compression == BlockCompression::Lzb {
             let cpu_start = leco_obs::Stopwatch::start();

@@ -22,10 +22,10 @@
 //!   [`ChunkReader`](leco_columnar::ChunkReader) — one descriptor,
 //!   positioned `pread`-style reads, no cursor mutex.  All mutable state
 //!   lives in a per-worker [`ScanScratch`](leco_columnar::ScanScratch).
-//! * **Read-ahead.** A prefetch stage fetches and
-//!   block-decompresses the next row group's chunk bytes while workers
-//!   decode the current one, overlapping the I/O and CPU halves of the
-//!   paper's §5.1 time breakdown.
+//! * **The worker reads its own morsel.** The worker that runs a morsel
+//!   reads and block-decompresses that morsel's chunks into its reused
+//!   buffer, so every chunk is read exactly once per query and the pool's
+//!   workers are the only threads a scan starts.
 //! * **Exact merges.** Partial aggregates are integers (`u128` sums,
 //!   `u64` counts); the final division/sort happens once after the merge, so
 //!   query results are bit-identical for every thread count.
@@ -63,7 +63,6 @@
 //! ```
 
 pub mod pool;
-mod prefetch;
 mod scanner;
 mod spec;
 

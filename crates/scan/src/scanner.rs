@@ -1,7 +1,6 @@
-//! The morsel-driven scan driver: plan → prune → prefetch → execute → merge.
+//! The morsel-driven scan driver: plan → prune → read and execute → merge.
 
 use crate::pool::{self, PoolError};
-use crate::prefetch::PrefetchBuffer;
 use crate::spec::{Agg, ScanPlan, ScanSpec};
 use leco_columnar::exec::{
     filter_chunk, filter_chunk_pushdown, group_by_avg_chunk, sum_selected_chunk,
@@ -81,8 +80,8 @@ pub struct ScanResult {
     pub rows_scanned: u64,
     /// Morsels executed (row groups surviving zone-map pruning).
     pub morsels: usize,
-    /// Merged per-query accounting, including the scheduler's pruning
-    /// counters and the read-ahead stage's I/O.
+    /// Merged per-query accounting: the scheduler's pruning counters and
+    /// every worker's chunk I/O and compute.
     pub stats: QueryStats,
 }
 
@@ -118,7 +117,6 @@ pub struct Scanner<'a> {
     /// domain (model inverse for LeCo, packed-domain compare for FOR, fused
     /// compare for Delta) instead of decode-then-filter.
     pushdown: bool,
-    read_ahead: bool,
     /// Test hook: panic while executing this global morsel index.
     inject_panic_at: Option<usize>,
 }
@@ -138,7 +136,6 @@ impl<'a> Scanner<'a> {
             plan,
             sorted: false,
             pushdown: true,
-            read_ahead: true,
             inject_panic_at: None,
         }
     }
@@ -239,14 +236,6 @@ impl<'a> Scanner<'a> {
         self
     }
 
-    /// Enable or disable the read-ahead stage (on by default).  With it on, a
-    /// prefetch thread fetches and block-decompresses the next row group's
-    /// chunk bytes while the workers decode the current one.
-    pub fn read_ahead(mut self, enabled: bool) -> Self {
-        self.read_ahead = enabled;
-        self
-    }
-
     /// Test hook: make whichever worker executes morsel `k` panic, to
     /// exercise pool poisoning end-to-end.  Hidden from docs; not part of the
     /// stable API.
@@ -317,79 +306,34 @@ impl<'a> Scanner<'a> {
         }
         let columns = self.needed_columns();
         let reader = table.chunk_reader()?;
-        let prefetch = PrefetchBuffer::new(n_threads);
-        let use_read_ahead = self.read_ahead && morsels.len() > 1;
         // First worker-side I/O error; its presence makes the other workers
         // bail at their next morsel, and the scan reports it as
         // `ScanError::Io` after the pool drains.
         let worker_io_error: parking_lot::Mutex<Option<std::io::Error>> =
             parking_lot::Mutex::new(None);
 
-        let worker_states = std::thread::scope(|scope| {
-            // ── Read-ahead stage: walk the schedule in order, fetching and
-            // block-decompressing chunk bytes ahead of the workers.
-            let prefetch_handle = if use_read_ahead {
-                let reader = &reader;
-                let prefetch = &prefetch;
-                let morsels = &morsels;
-                let columns = &columns;
-                Some(scope.spawn(move || -> std::io::Result<()> {
-                    let mut buf = Vec::new();
-                    for (m, &rg) in morsels.iter().enumerate() {
-                        if prefetch.stopped() {
-                            break;
-                        }
-                        if !prefetch.should_fetch(m) {
-                            continue;
-                        }
-                        let mut stats = QueryStats::default();
-                        for &col in columns.iter() {
-                            reader.read_chunk_bytes(rg, col, &mut buf, &mut stats)?;
-                            reader.decompress_chunk(rg, col, &buf, &mut stats);
-                        }
-                        prefetch.deposit(m, stats);
+        // ── Execute: work-stealing workers read and fold morsels into their
+        // private ScanScratch.
+        let states = pool::run_with_worker_state(
+            n_threads,
+            morsels.len(),
+            |_| ScanScratch::new(),
+            |scratch: &mut ScanScratch, m| {
+                if self.inject_panic_at == Some(m) {
+                    panic!("injected scan fault at morsel {m}");
+                }
+                if worker_io_error.lock().is_some() {
+                    return; // scan already failing: drain cheaply
+                }
+                if let Err(e) = self.execute_morsel(&reader, morsels[m], &columns, scratch) {
+                    let mut slot = worker_io_error.lock();
+                    if slot.is_none() {
+                        *slot = Some(e);
                     }
-                    Ok(())
-                }))
-            } else {
-                None
-            };
-
-            // ── Execute: work-stealing workers fold morsels into their
-            // private ScanScratch.
-            let result = pool::run_with_worker_state(
-                n_threads,
-                morsels.len(),
-                |_| ScanScratch::new(),
-                |scratch: &mut ScanScratch, m| {
-                    if self.inject_panic_at == Some(m) {
-                        panic!("injected scan fault at morsel {m}");
-                    }
-                    if worker_io_error.lock().is_some() {
-                        return; // scan already failing: drain cheaply
-                    }
-                    let rg = morsels[m];
-                    if let Err(e) =
-                        self.execute_morsel(&reader, &prefetch, rg, m, &columns, scratch)
-                    {
-                        let mut slot = worker_io_error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
-                },
-            );
-            prefetch.stop();
-            let prefetch_result =
-                prefetch_handle.map(|h| h.join().expect("prefetcher does not panic"));
-            (result, prefetch_result)
-        });
-        let (pool_result, prefetch_result) = worker_states;
-        let states = pool_result?;
-        if let Some(e) = worker_io_error.lock().take() {
-            return Err(ScanError::Io(e));
-        }
-        if let Some(Err(e)) = prefetch_result {
+                }
+            },
+        )?;
+        if let Some(e) = worker_io_error.into_inner() {
             return Err(ScanError::Io(e));
         }
 
@@ -400,42 +344,29 @@ impl<'a> Scanner<'a> {
             merged.merge(state);
         }
         merged.stats.merge(&sched_stats);
-        merged.stats.merge(&prefetch.drain_residual());
         Ok((merged.partial, merged.stats))
     }
 
-    /// One morsel: claim (or perform) the I/O, then run the per-chunk
-    /// kernels against the worker's scratch.  A failed chunk read (truncated
-    /// or corrupt file) propagates up and surfaces as [`ScanError::Io`].
+    /// One morsel: read its chunks, then run the per-chunk kernels against
+    /// the worker's scratch.  A failed chunk read (truncated or corrupt
+    /// file) propagates up and surfaces as [`ScanError::Io`].
     fn execute_morsel(
         &self,
         reader: &ChunkReader<'_>,
-        prefetch: &PrefetchBuffer,
         rg: usize,
-        m: usize,
         columns: &[usize],
         scratch: &mut ScanScratch,
     ) -> std::io::Result<()> {
         let _morsel_span = leco_obs::span("scan.morsel");
         leco_obs::counter!("scan.morsels").inc();
 
-        // I/O: prefetched charge, or read the chunk bytes ourselves.
+        // I/O: read and block-decompress each needed chunk into the
+        // worker's reused buffer.
         {
             let _decode_span = leco_obs::span("scan.morsel.decode");
-            match prefetch.claim(m) {
-                Some(prefetched) => scratch.stats.merge(&prefetched),
-                None => {
-                    let mut buf = std::mem::take(&mut scratch.io_buf);
-                    for &col in columns {
-                        let read = reader.read_chunk_bytes(rg, col, &mut buf, &mut scratch.stats);
-                        if let Err(e) = read {
-                            scratch.io_buf = buf;
-                            return Err(e);
-                        }
-                        reader.decompress_chunk(rg, col, &buf, &mut scratch.stats);
-                    }
-                    scratch.io_buf = buf;
-                }
+            for &col in columns {
+                reader.read_chunk_bytes(rg, col, &mut scratch.io_buf, &mut scratch.stats)?;
+                reader.decompress_chunk(rg, col, &scratch.io_buf, &mut scratch.stats);
             }
         }
 

@@ -39,17 +39,16 @@ fn counters_and_histograms_are_exact_at_every_thread_count() {
     let lo = ts_min + (ts_max - ts_min) * 3 / 10;
     let hi = ts_min + (ts_max - ts_min) * 7 / 10;
 
-    // ── Strict equality across thread counts, read-ahead off: without the
-    // prefetcher every morsel's I/O happens exactly once in the worker that
-    // claims it, so every delta below is a pure function of the data.
-    let mut reference: Option<[u64; 5]> = None;
+    // ── Strict equality across thread counts: every morsel's chunks are
+    // read exactly once, by the worker that runs it, so every delta below is
+    // a pure function of the data.
+    let mut reference: Option<[u64; 4]> = None;
     for threads in THREAD_COUNTS {
         let before = registry.snapshot();
         let r = Scanner::new(&table)
             .filter_col(0, lo, hi)
             .sorted_filter(true)
             .group_by_avg_cols(1, 2)
-            .read_ahead(false)
             .run(threads)
             .unwrap();
         let after = registry.snapshot();
@@ -57,17 +56,16 @@ fn counters_and_histograms_are_exact_at_every_thread_count() {
             after.counter_delta(&before, "scan.morsels"),
             after.counter_delta(&before, "scan.morsel_rows"),
             after.counter_delta(&before, "scan.rows_selected"),
-            after.counter_delta(&before, "scan.prefetch.misses"),
             after.hist_count_delta(&before, "columnar.chunk_io_ns"),
         ];
         // The registry agrees with the engine's own accounting...
         assert_eq!(deltas[0], r.morsels as u64, "{threads} threads");
         assert_eq!(deltas[1], r.rows_scanned, "{threads} threads");
         assert_eq!(deltas[2], r.rows_selected, "{threads} threads");
-        // ...every morsel misses the (disabled) prefetcher exactly once...
-        assert_eq!(deltas[3], deltas[0], "{threads} threads");
-        // ...and reads its 3 column chunks itself.
-        assert_eq!(deltas[4], 3 * deltas[0], "{threads} threads");
+        // ...every chunk read is charged to the query, and each morsel reads
+        // its 3 column chunks once: none is read twice...
+        assert_eq!(deltas[3], r.stats.chunks_read, "{threads} threads");
+        assert_eq!(deltas[3], 3 * deltas[0], "{threads} threads");
         // ...and the totals are identical at every thread count.
         match &reference {
             None => reference = Some(deltas),
@@ -80,28 +78,6 @@ fn counters_and_histograms_are_exact_at_every_thread_count() {
             after.gauge("scan.pool.queue_depth"),
             0,
             "queue-depth gauge must return to zero ({threads} threads)"
-        );
-    }
-
-    // ── Weaker invariants that hold even with the read-ahead race: claim()
-    // runs exactly once per morsel, so hits + misses == morsels regardless
-    // of which side performed the I/O.
-    for threads in THREAD_COUNTS {
-        let before = registry.snapshot();
-        let r = Scanner::new(&table)
-            .filter_col(0, lo, hi)
-            .sorted_filter(true)
-            .group_by_avg_cols(1, 2)
-            .run(threads)
-            .unwrap();
-        let after = registry.snapshot();
-        let claims = after.counter_delta(&before, "scan.prefetch.hits")
-            + after.counter_delta(&before, "scan.prefetch.misses");
-        assert_eq!(claims, r.morsels as u64, "{threads} threads, read-ahead");
-        assert_eq!(
-            after.counter_delta(&before, "scan.morsel_rows"),
-            r.rows_scanned,
-            "{threads} threads, read-ahead"
         );
     }
 

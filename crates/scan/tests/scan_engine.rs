@@ -102,28 +102,25 @@ fn group_by_results_bit_identical_across_thread_counts() {
         let driver_groups = exec::group_by_avg(&table, 1, 2, &bitmap, &mut stats).unwrap();
         assert_groups_identical(&reference.groups, &driver_groups, "driver-vs-engine");
         for threads in THREAD_COUNTS {
-            for read_ahead in [true, false] {
-                let got = Scanner::new(&table)
-                    .filter_col(0, lo, hi)
-                    .sorted_filter(true)
-                    .group_by_avg_cols(1, 2)
-                    .read_ahead(read_ahead)
-                    .run(threads)
-                    .unwrap();
-                let ctx = format!("{name} threads={threads} read_ahead={read_ahead}");
-                assert_groups_identical(&reference.groups, &got.groups, &ctx);
-                assert_eq!(got.rows_selected, reference.rows_selected, "{ctx}");
-                assert_eq!(got.rows_scanned, reference.rows_scanned, "{ctx}");
-                assert_eq!(got.morsels, reference.morsels, "{ctx}");
-                // Every thread count reads the same chunks and prunes the
-                // same row groups; only the timing fields may differ.
-                assert_eq!(got.stats.io_bytes, reference.stats.io_bytes, "{ctx}");
-                assert_eq!(got.stats.chunks_read, reference.stats.chunks_read, "{ctx}");
-                assert_eq!(
-                    got.stats.row_groups_pruned, reference.stats.row_groups_pruned,
-                    "{ctx}"
-                );
-            }
+            let got = Scanner::new(&table)
+                .filter_col(0, lo, hi)
+                .sorted_filter(true)
+                .group_by_avg_cols(1, 2)
+                .run(threads)
+                .unwrap();
+            let ctx = format!("{name} threads={threads}");
+            assert_groups_identical(&reference.groups, &got.groups, &ctx);
+            assert_eq!(got.rows_selected, reference.rows_selected, "{ctx}");
+            assert_eq!(got.rows_scanned, reference.rows_scanned, "{ctx}");
+            assert_eq!(got.morsels, reference.morsels, "{ctx}");
+            // Every thread count reads the same chunks and prunes the same
+            // row groups; only the timing fields may differ.
+            assert_eq!(got.stats.io_bytes, reference.stats.io_bytes, "{ctx}");
+            assert_eq!(got.stats.chunks_read, reference.stats.chunks_read, "{ctx}");
+            assert_eq!(
+                got.stats.row_groups_pruned, reference.stats.row_groups_pruned,
+                "{ctx}"
+            );
         }
         std::fs::remove_file(&path).ok();
     }
@@ -288,17 +285,11 @@ fn truncated_file_surfaces_as_io_error() {
     let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
     file.set_len(full / 2).unwrap();
     drop(file);
-    for read_ahead in [false, true] {
-        let err = Scanner::new(&table)
-            .group_by_avg_cols(1, 2)
-            .read_ahead(read_ahead)
-            .run(4)
-            .unwrap_err();
-        assert!(
-            matches!(err, ScanError::Io(_)),
-            "read_ahead={read_ahead}: expected Io, got {err:?}"
-        );
-    }
+    let err = Scanner::new(&table)
+        .group_by_avg_cols(1, 2)
+        .run(4)
+        .unwrap_err();
+    assert!(matches!(err, ScanError::Io(_)), "expected Io, got {err:?}");
     std::fs::remove_file(&path).ok();
 }
 
