@@ -6,24 +6,27 @@
 //! qualifying positions of the (still encoded) columns; a dense one
 //! bulk-decodes the chunks and walks the selection run by run over the
 //! decoded buffers, and `GROUP BY` adds those runs into a dense per-chunk
-//! table when the chunk's ids span at most half its rows.  Every driver
-//! accumulates a [`QueryStats`] separating I/O time (reading chunk bytes from
-//! the data file) from CPU time (decoding + compute), which is the breakdown
-//! plotted in Figures 18, 19 and 21.
+//! table when the chunk's zone map says its ids span at most half its rows.
+//! Every driver accumulates a [`QueryStats`] separating I/O time (reading
+//! chunk bytes from the data file) from CPU time (decoding + compute), which
+//! is the breakdown plotted in Figures 18, 19 and 21.
 //!
 //! The module is layered so a parallel engine can drive it:
 //!
-//! * **stateless per-chunk kernels** ([`filter_chunk`], [`group_by_avg_chunk`],
-//!   [`sum_selected_chunk`]) operate on one row group's encoded chunks plus
-//!   explicitly passed scratch; they hold no references to the file and can
-//!   run on any thread,
+//! * **stateless per-chunk kernels** ([`filter_chunk`],
+//!   [`group_by_avg_chunk_zoned`], [`sum_selected_chunk`]) operate on one
+//!   row group's encoded chunks plus explicitly passed scratch; they hold no
+//!   references to the file and can run on any thread,
 //! * **[`ScanScratch`]** bundles the per-worker mutable state the kernels
-//!   write into (decode buffers, a selection bitmap, a [`Partial`] and
-//!   per-worker [`QueryStats`]),
+//!   write into (decode buffers, the `GROUP BY` table, a selection bitmap, a
+//!   [`Partial`] and per-worker [`QueryStats`]),
 //! * **[`Partial`]** is the exact integer result every layer folds — morsel
 //!   into worker, worker into scan, file into live table, shard into reply —
 //!   with its one [`Partial::merge`]; [`Partial::group_avgs`] divides once,
-//!   at the end,
+//!   at the end. Its `GROUP BY` partials are one run, strictly ascending by
+//!   id, from the chunk to the wire: each chunk emits its groups in id
+//!   order, every merge is a two-way merge of sorted runs (an append when
+//!   the runs arrive in order), and no layer hashes or sorts them again,
 //! * the **single-threaded drivers** ([`filter_range`], [`group_by_avg`],
 //!   [`sum_selected`]) iterate row groups and compose the kernels; the
 //!   `leco-scan` crate composes the same kernels from a worker pool.
@@ -32,6 +35,7 @@ use crate::bitmap::Bitmap;
 use crate::encoding::EncodedColumn;
 use crate::file::TableFile;
 use leco_obs::Stopwatch;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Per-query accounting.
@@ -99,6 +103,9 @@ impl QueryStats {
     }
 }
 
+/// One `GROUP BY` partial: `(id, sum, count)`.
+pub type Group = (u64, u128, u64);
+
 /// Exact partial aggregates of a scan: what a morsel, a worker, a file, a
 /// live table and a shard each produce, and what every layer folds.
 ///
@@ -106,6 +113,11 @@ impl QueryStats {
 /// commutative and a result does not depend on how the work was split. The
 /// one lossy step, the f64 division of a group average, happens once, in
 /// [`Self::group_avgs`], after the last merge.
+///
+/// **Sorted-run invariant:** `groups` is strictly ascending by id and every
+/// count is at least 1. Every producer emits its groups in that order — the
+/// chunk kernel as one run per chunk — so every merge is a two-way merge of
+/// sorted runs, and the reply reads the groups in order without a sort.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Partial {
     /// Rows the scan covered. A static file counts the rows of its unpruned
@@ -117,12 +129,14 @@ pub struct Partial {
     pub morsels: usize,
     /// `SUM` partial.
     pub sum: u128,
-    /// `GROUP BY` partials: id → (sum, count).
-    pub groups: HashMap<u64, (u128, u64)>,
+    /// `GROUP BY` partials, strictly ascending by id (see the type docs).
+    pub groups: Vec<Group>,
 }
 
 impl Partial {
-    /// Fold `other` into `self` with exact integer arithmetic.
+    /// Fold `other` into `self` with exact integer arithmetic. The groups
+    /// merge as two sorted runs: appended when `other`'s come after
+    /// `self`'s, else merged into one allocation; nothing is hashed.
     pub fn merge(&mut self, other: Partial) {
         self.rows_scanned += other.rows_scanned;
         self.rows_selected += other.rows_selected;
@@ -130,34 +144,105 @@ impl Partial {
         self.sum += other.sum;
         if self.groups.is_empty() {
             self.groups = other.groups;
-            return;
-        }
-        for (id, (sum, count)) in other.groups {
-            let entry = self.groups.entry(id).or_insert((0, 0));
-            entry.0 += sum;
-            entry.1 += count;
+        } else {
+            merge_run(&mut self.groups, &other.groups, &mut Vec::new());
         }
     }
 
     /// `(id, avg)` pairs sorted by id: one division per group, after every
     /// integer partial is merged.
     pub fn group_avgs(&self) -> Vec<(u64, f64)> {
-        let groups = self.sorted_groups().into_iter();
-        groups
-            .map(|(id, sum, count)| (id, sum as f64 / count as f64))
+        self.groups
+            .iter()
+            .map(|&(id, sum, count)| (id, sum as f64 / count as f64))
             .collect()
     }
 
-    /// The `(id, sum, count)` group partials sorted by id.
-    pub fn sorted_groups(&self) -> Vec<(u64, u128, u64)> {
-        let mut out: Vec<(u64, u128, u64)> = self
-            .groups
-            .iter()
-            .map(|(&id, &(sum, count))| (id, sum, count))
-            .collect();
-        out.sort_unstable_by_key(|&(id, _, _)| id);
-        out
+    /// The `(id, sum, count)` group partials, ascending by id.
+    pub fn sorted_groups(&self) -> &[Group] {
+        &self.groups
     }
+}
+
+/// Fold the ascending run `run` into the ascending `groups`, adding the sums
+/// and counts of equal ids. A run that starts after `groups` ends is
+/// appended; otherwise the two are merged into `spare`, which then becomes
+/// `groups` (the old buffer is left in `spare` for reuse).
+fn merge_run(groups: &mut Vec<Group>, run: &[Group], spare: &mut Vec<Group>) {
+    let Some(&(first, _, _)) = run.first() else {
+        return;
+    };
+    if groups.last().is_none_or(|&(last, _, _)| last < first) {
+        groups.extend_from_slice(run);
+        return;
+    }
+    spare.clear();
+    spare.reserve(groups.len() + run.len());
+    let (mut i, mut j) = (0, 0);
+    while i < groups.len() && j < run.len() {
+        let (x, y) = (groups[i], run[j]);
+        spare.push(match x.0.cmp(&y.0) {
+            Ordering::Less => {
+                i += 1;
+                x
+            }
+            Ordering::Greater => {
+                j += 1;
+                y
+            }
+            Ordering::Equal => {
+                i += 1;
+                j += 1;
+                (x.0, x.1 + y.1, x.2 + y.2)
+            }
+        });
+    }
+    spare.extend_from_slice(&groups[i..]);
+    spare.extend_from_slice(&run[j..]);
+    std::mem::swap(groups, spare);
+}
+
+/// Add `(id, sum, count)` to `run`'s last entry when it has the same id,
+/// else push it: consecutive equal ids collapse as they arrive.
+fn push_piece(run: &mut Vec<Group>, id: u64, sum: u128, count: u64) {
+    match run.last_mut() {
+        Some(last) if last.0 == id => {
+            last.1 += sum;
+            last.2 += count;
+        }
+        _ => run.push((id, sum, count)),
+    }
+}
+
+/// Sort `run` by id and add up the entries of equal ids, leaving one entry
+/// per id: the exact route's one sort per chunk.
+fn sort_run(run: &mut Vec<Group>) {
+    run.sort_unstable_by_key(|&(id, _, _)| id);
+    run.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+            kept.2 += next.2;
+        }
+        same
+    });
+}
+
+/// The reusable `GROUP BY` buffers of one worker: the decoded id and value
+/// chunks, the dense per-chunk table and the chunk's run of groups.
+#[derive(Debug, Default)]
+pub struct GroupScratch {
+    /// Decoded id chunk.
+    ids: Vec<u64>,
+    /// Decoded value chunk.
+    vals: Vec<u64>,
+    /// Dense table indexed by `id − min`. Every slot is `(0, 0)` between
+    /// chunks: emitting a chunk's groups clears the slots it used.
+    table: Vec<(u128, u64)>,
+    /// The chunk's groups as one ascending run, before the merge.
+    run: Vec<Group>,
+    /// The other half of a merge of `run` into a partial.
+    spare: Vec<Group>,
 }
 
 /// Per-worker mutable scan state: everything a morsel kernel writes into.
@@ -170,10 +255,10 @@ impl Partial {
 pub struct ScanScratch {
     /// Raw stored-chunk byte buffer for positioned reads.
     pub io_buf: Vec<u8>,
-    /// Primary decode buffer (filter column / aggregated column).
+    /// Decode buffer of the filter and `SUM` kernels.
     pub decode: Vec<u64>,
-    /// Secondary decode buffer (group-by value column).
-    pub decode2: Vec<u64>,
+    /// Buffers of the `GROUP BY` kernel.
+    pub group: GroupScratch,
     /// Selection bitmap; morsel-local (`reset` per morsel) in parallel scans,
     /// table-global in the single-threaded drivers.
     pub sel: Bitmap,
@@ -396,19 +481,18 @@ pub fn filter_range_pushdown(
 const DENSE_DIVISOR: usize = 16;
 
 /// A dense `GROUP BY` chunk whose ids span at most `rows / TABLE_DIVISOR`
-/// aggregates into a table indexed by `id − min` instead of a `HashMap`.
-/// Each row then costs an indexed add, and the table's zeroing and its
-/// once-per-chunk fold into the map cost at most one slot per two rows, so
-/// even a full table stays well below the per-row SipHash lookups it
-/// replaces.
+/// aggregates into a table indexed by `id − min` instead of sorting its
+/// pieces. Each piece then costs an indexed add, and reading the table out
+/// in id order costs at most one slot per two rows.
 const TABLE_DIVISOR: usize = 2;
 
 /// `SELECT AVG(val) ... GROUP BY id` over the positions selected by `bitmap`
 /// (the §5.1.1 query shape).  Returns `(id, average)` pairs.
 ///
-/// Composes [`group_by_avg_chunk`] per row group: sparse row groups
-/// random-access only the qualifying positions (late materialisation);
-/// dense row groups are bulk-decoded and aggregated run by run.
+/// Composes [`group_by_avg_chunk_zoned`] per row group, bounded by the id
+/// column's zone map: sparse row groups random-access only the qualifying
+/// positions (late materialisation); dense row groups are bulk-decoded and
+/// aggregated run by run.
 pub fn group_by_avg(
     file: &TableFile,
     id_col: usize,
@@ -427,13 +511,13 @@ pub fn group_by_avg(
         let ids = reader.read_chunk(rg, id_col, stats)?;
         let vals = reader.read_chunk(rg, val_col, stats)?;
         let cpu = Stopwatch::start();
-        group_by_avg_chunk(
+        group_by_avg_chunk_zoned(
             ids,
             vals,
+            file.zone_map(rg, id_col),
             bitmap,
             row_start,
-            &mut scratch.decode,
-            &mut scratch.decode2,
+            &mut scratch.group,
             &mut scratch.partial.groups,
         );
         stats.charge_cpu(cpu.elapsed_secs());
@@ -441,28 +525,48 @@ pub fn group_by_avg(
     Ok(scratch.partial.group_avgs())
 }
 
-/// `GROUP BY`-average accumulation over one row group's id/value chunks.
+/// `GROUP BY`-average accumulation over one row group's id/value chunks,
+/// merged into the ascending `groups` (see [`Partial`]'s sorted-run
+/// invariant) as one ascending run of the chunk's groups.
 ///
 /// Stateless per-morsel kernel: consults the selection positions
-/// `[base, base + ids.len())` of `sel`, accumulating integer `(sum, count)`
-/// partials into `groups`.
+/// `[base, base + ids.len())` of `sel`, and takes the id chunk's
+/// `(min, max)` from `id_zone` — the zone map
+/// ([`TableFile::zone_map`]) — instead of a pass over the ids.
 ///
 /// * **Sparse** selections (fewer than one row in `DENSE_DIVISOR`)
 ///   random-access only the qualifying positions (late materialisation) and
-///   add each row to `groups` directly.
-/// * **Dense** selections bulk-decode both chunks into the scratch buffers
-///   and walk the selection run by run ([`Bitmap::for_each_run_in`]),
-///   looping over contiguous slices of the decoded buffers. When the id
-///   chunk's span `max − min` is at most `rows / 2` (`TABLE_DIVISOR`), the
-///   rows land in a dense table indexed by `id − min` (a "perfect hash"
-///   read off the chunk's own min and max), one add per piece of equal
-///   consecutive ids within a run, and only the non-empty slots
-///   are added to `groups`, once per chunk. A wider span falls back to one
-///   `groups` entry per row.
+///   take the exact route below.
+/// * **Dense** selections bulk-decode both chunks into `scratch` and walk
+///   the selection run by run ([`Bitmap::for_each_run_in`]), cutting each
+///   run into pieces of equal consecutive ids. When the zone's span
+///   `max − min` is at most `rows / 2` (`TABLE_DIVISOR`), each piece is one
+///   add into a dense table indexed by `id − min` (a "perfect hash" read
+///   off the zone map), reused across chunks; its non-empty slots are the
+///   chunk's run, in ascending order. A wider span takes the exact route.
+/// * The **exact route** collects the pieces, sorts them by id once and
+///   adds up equal ids. An id outside `id_zone` (a corrupt footer) never
+///   indexes the table: the chunk's table is discarded and the chunk takes
+///   this route, so the result is exact whatever the zone map says.
 ///
-/// The table holds the same exact `(u128 sum, u64 count)` pairs as
-/// `groups`, so both dense routes add up to the same integers as the sparse
-/// one.
+/// A run that starts after `groups` ends is appended; otherwise it is
+/// merged in one pass. Nothing is hashed, and every route adds up the same
+/// exact `(u128 sum, u64 count)` integers.
+pub fn group_by_avg_chunk_zoned(
+    ids: &EncodedColumn,
+    vals: &EncodedColumn,
+    id_zone: (u64, u64),
+    sel: &Bitmap,
+    base: usize,
+    scratch: &mut GroupScratch,
+    groups: &mut Vec<Group>,
+) {
+    group_chunk(ids, vals, Some(id_zone), sel, base, scratch, groups);
+}
+
+/// [`group_by_avg_chunk_zoned`] for a caller without the zone map: the
+/// id chunk's `(min, max)` is folded from the decoded ids, and the chunk's
+/// run is added into the `groups` map.
 pub fn group_by_avg_chunk(
     ids: &EncodedColumn,
     vals: &EncodedColumn,
@@ -472,16 +576,53 @@ pub fn group_by_avg_chunk(
     val_buf: &mut Vec<u64>,
     groups: &mut HashMap<u64, (u128, u64)>,
 ) {
+    let mut scratch = GroupScratch {
+        ids: std::mem::take(id_buf),
+        vals: std::mem::take(val_buf),
+        ..GroupScratch::default()
+    };
+    let mut run = Vec::new();
+    group_chunk(ids, vals, None, sel, base, &mut scratch, &mut run);
+    for (id, sum, count) in run {
+        let entry = groups.entry(id).or_insert((0, 0));
+        entry.0 += sum;
+        entry.1 += count;
+    }
+    *id_buf = scratch.ids;
+    *val_buf = scratch.vals;
+}
+
+/// The `GROUP BY` chunk kernel; `id_zone` `None` folds the bounds from the
+/// decoded ids.
+fn group_chunk(
+    ids: &EncodedColumn,
+    vals: &EncodedColumn,
+    id_zone: Option<(u64, u64)>,
+    sel: &Bitmap,
+    base: usize,
+    scratch: &mut GroupScratch,
+    groups: &mut Vec<Group>,
+) {
     let rows = ids.len();
     let selected = sel.count_ones_in(base, base + rows);
     if selected == 0 {
         return;
     }
+    let GroupScratch {
+        ids: id_buf,
+        vals: val_buf,
+        table,
+        run,
+        spare,
+    } = scratch;
+    run.clear();
     if selected * DENSE_DIVISOR < rows {
         for pos in sel.iter_ones_in(base, base + rows) {
             let local = pos - base;
-            add_to_group(groups, ids.get(local), vals.get(local) as u128, 1);
+            push_piece(run, ids.get(local), vals.get(local) as u128, 1);
         }
+        sort_run(run);
+        merge_run(groups, run, spare);
         return;
     }
     id_buf.clear();
@@ -489,48 +630,84 @@ pub fn group_by_avg_chunk(
     ids.decode_into(id_buf);
     vals.decode_into(val_buf);
     let (id_buf, val_buf) = (&id_buf[..], &val_buf[..]);
-    let (min, max) = id_buf
-        .iter()
-        .fold((u64::MAX, 0), |(lo, hi), &id| (lo.min(id), hi.max(id)));
-    if max - min <= (rows / TABLE_DIVISOR) as u64 {
-        let mut table = vec![(0u128, 0u64); (max - min) as usize + 1];
-        // Each selection run is cut where the id changes; a piece of equal
-        // ids is summed in a register and added to its slot once.
-        sel.for_each_run_in(base, base + rows, |from, to| {
-            let (from, to) = (from - base, to - base);
-            let (ids, vals) = (&id_buf[from..to], &val_buf[from..to]);
-            let mut i = 0;
-            while i < ids.len() {
-                let (id, mut sum, mut end) = (ids[i], vals[i] as u128, i + 1);
-                while end < ids.len() && ids[end] == id {
-                    sum += vals[end] as u128;
-                    end += 1;
-                }
-                let slot = &mut table[(id - min) as usize];
-                slot.0 += sum;
-                slot.1 += (end - i) as u64;
-                i = end;
-            }
-        });
-        for (offset, (sum, count)) in table.into_iter().enumerate() {
-            if count > 0 {
-                add_to_group(groups, min + offset as u64, sum, count);
-            }
+    let (min, max) = id_zone.unwrap_or_else(|| {
+        id_buf
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &id| (lo.min(id), hi.max(id)))
+    });
+    let span = max.wrapping_sub(min);
+    if min <= max && span <= (rows / TABLE_DIVISOR) as u64 {
+        let len = span as usize + 1;
+        if table.len() < len {
+            table.resize(len, (0, 0));
         }
-    } else {
-        sel.for_each_run_in(base, base + rows, |from, to| {
-            let (from, to) = (from - base, to - base);
-            for (&id, &val) in id_buf[from..to].iter().zip(&val_buf[from..to]) {
-                add_to_group(groups, id, val as u128, 1);
+        let slots = &mut table[..len];
+        let mut inside = true;
+        for_each_piece(id_buf, val_buf, sel, base, |id, sum, count| {
+            let offset = id.wrapping_sub(min);
+            if offset > span {
+                inside = false;
+                return;
             }
+            let slot = &mut slots[offset as usize];
+            slot.0 += sum;
+            slot.1 += count;
         });
+        if inside {
+            if groups.last().is_none_or(|&(last, _, _)| last < min) {
+                drain_table(slots, min, groups);
+            } else {
+                drain_table(slots, min, run);
+                merge_run(groups, run, spare);
+            }
+            return;
+        }
+        // An id outside the zone map: discard the table, take the exact route.
+        slots.fill((0, 0));
     }
+    for_each_piece(id_buf, val_buf, sel, base, |id, sum, count| {
+        push_piece(run, id, sum, count)
+    });
+    sort_run(run);
+    merge_run(groups, run, spare);
 }
 
-fn add_to_group(groups: &mut HashMap<u64, (u128, u64)>, id: u64, sum: u128, count: u64) {
-    let entry = groups.entry(id).or_insert((0, 0));
-    entry.0 += sum;
-    entry.1 += count;
+/// Call `piece(id, sum, count)` once per piece of equal consecutive ids
+/// within each run of `sel` over the decoded chunk `ids`/`vals`, whose
+/// first row is `sel` position `base`. A piece's values are summed in a
+/// register.
+fn for_each_piece(
+    ids: &[u64],
+    vals: &[u64],
+    sel: &Bitmap,
+    base: usize,
+    mut piece: impl FnMut(u64, u128, u64),
+) {
+    sel.for_each_run_in(base, base + ids.len(), |from, to| {
+        let (from, to) = (from - base, to - base);
+        let (ids, vals) = (&ids[from..to], &vals[from..to]);
+        let mut i = 0;
+        while i < ids.len() {
+            let (id, mut sum, mut end) = (ids[i], vals[i] as u128, i + 1);
+            while end < ids.len() && ids[end] == id {
+                sum += vals[end] as u128;
+                end += 1;
+            }
+            piece(id, sum, (end - i) as u64);
+            i = end;
+        }
+    });
+}
+
+/// Push the non-empty slots of a dense table whose slot 0 is id `min` onto
+/// `out`, in ascending id order, and clear them for the next chunk.
+fn drain_table(slots: &mut [(u128, u64)], min: u64, out: &mut Vec<Group>) {
+    for (offset, slot) in slots.iter_mut().enumerate() {
+        if slot.1 > 0 {
+            out.push((min + offset as u64, slot.0, slot.1));
+            *slot = (0, 0);
+        }
+    }
 }
 
 /// Bitmap aggregation (§5.1.2): sum of the selected positions of one column.
@@ -601,6 +778,7 @@ mod tests {
     use super::*;
     use crate::encoding::Encoding;
     use crate::file::{BlockCompression, TableFileOptions};
+    use std::collections::BTreeMap;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -745,13 +923,13 @@ mod tests {
             scratch.partial.rows_selected += scratch.sel.count_ones() as u64;
             let ids = reader.read_chunk(rg, 1, &mut scratch.stats).unwrap();
             let vals = reader.read_chunk(rg, 2, &mut scratch.stats).unwrap();
-            group_by_avg_chunk(
+            group_by_avg_chunk_zoned(
                 ids,
                 vals,
+                file.zone_map(rg, 1),
                 &scratch.sel,
                 0,
-                &mut scratch.decode,
-                &mut scratch.decode2,
+                &mut scratch.group,
                 &mut scratch.partial.groups,
             );
             scratch.partial.sum += sum_selected_chunk(vals, &scratch.sel, 0, &mut scratch.decode);
@@ -774,20 +952,23 @@ mod tests {
     #[test]
     fn scratch_merge_combines_partials_exactly() {
         let mut a = ScanScratch::new();
-        a.partial.groups.insert(1, (10, 2));
-        a.partial.groups.insert(2, (5, 1));
+        a.partial.groups = vec![(1, 10, 2), (2, 5, 1)];
         a.partial.sum = 100;
         a.partial.rows_selected = 3;
         let mut b = ScanScratch::new();
-        b.partial.groups.insert(2, (7, 3));
-        b.partial.groups.insert(3, (1, 1));
+        b.partial.groups = vec![(2, 7, 3), (3, 1, 1)];
         b.partial.sum = 11;
         b.partial.rows_selected = 4;
         b.stats.io_bytes = 9;
         a.merge(b);
-        assert_eq!(a.partial.groups[&1], (10, 2));
-        assert_eq!(a.partial.groups[&2], (12, 4));
-        assert_eq!(a.partial.groups[&3], (1, 1));
+        let group = |id: u64| {
+            let at = a.partial.groups.binary_search_by_key(&id, |g| g.0).unwrap();
+            let (_, sum, count) = a.partial.groups[at];
+            (sum, count)
+        };
+        assert_eq!(group(1), (10, 2));
+        assert_eq!(group(2), (12, 4));
+        assert_eq!(group(3), (1, 1));
         assert_eq!(a.partial.sum, 111);
         assert_eq!(a.partial.rows_selected, 7);
         assert_eq!(a.stats.io_bytes, 9);
@@ -808,7 +989,7 @@ mod tests {
             rows_selected,
             morsels,
             sum,
-            groups: groups.iter().map(|&(id, s, c)| (id, (s, c))).collect(),
+            groups: groups.to_vec(),
         }
     }
 
@@ -882,6 +1063,87 @@ mod tests {
         let avgs = a_bc.group_avgs();
         assert_eq!(avgs[0], (7, (2 * big) as f64 / 3.0));
         assert_eq!(avgs[2], (9, (big + 1) as f64 / 4.0));
+    }
+
+    /// Deterministic 64-bit mixer for the property test's choices.
+    fn mix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    proptest::proptest! {
+        /// A `BTreeMap` oracle of groups, split into sorted runs (one group
+        /// may be cut into pieces across several runs), then merged back in
+        /// a random order and grouping: the result is the oracle.
+        #[test]
+        fn partial_merge_of_sorted_runs_matches_the_oracle(
+            raw_ids in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..200),
+            raw_sums in proptest::collection::vec(proptest::prelude::any::<u128>(), 200),
+            raw_counts in proptest::collection::vec(proptest::prelude::any::<u64>(), 200),
+            n_runs in 1usize..9,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Ids: 0, u64::MAX, a small range (so runs overlap) and any u64.
+            let mut oracle: BTreeMap<u64, (u128, u64)> = BTreeMap::new();
+            for (k, &raw) in raw_ids.iter().enumerate() {
+                let id = match raw % 4 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => raw % 97,
+                    _ => raw,
+                };
+                let sum = (raw_sums[k] >> (raw % 128)) % (u128::MAX / 8 + 1);
+                let count = (raw_counts[k] >> (raw_counts[k] % 64)).max(1);
+                oracle.insert(id, (sum, count));
+            }
+            // Cut each group into up to three pieces in distinct runs; every
+            // piece keeps a count of at least 1.
+            let mut runs = vec![Partial::default(); n_runs];
+            for (&id, &(sum, count)) in &oracle {
+                let r = mix(seed ^ id);
+                let pieces = (1 + r % 3).min(count).min(n_runs as u64) as usize;
+                let (mut sum_left, mut count_left) = (sum, count);
+                for j in 0..pieces {
+                    let run = &mut runs[(r as usize / 3 + j) % n_runs];
+                    let (s, c) = if j + 1 == pieces {
+                        (sum_left, count_left)
+                    } else {
+                        // Leave at least 1 for each later piece.
+                        let room = count_left - (pieces - j - 1) as u64;
+                        let c = 1 + mix(r ^ j as u64) % room;
+                        (mix(r ^ !(j as u64)) as u128 % (sum_left + 1), c)
+                    };
+                    sum_left -= s;
+                    count_left -= c;
+                    run.groups.push((id, s, c));
+                }
+            }
+            for run in &mut runs {
+                run.groups.sort_unstable_by_key(|&(id, _, _)| id);
+            }
+            // Merge two random partials, in a random direction, until one is
+            // left.
+            let mut rng = seed;
+            while runs.len() > 1 {
+                rng = mix(rng);
+                let i = rng as usize % runs.len();
+                let a = runs.swap_remove(i);
+                let j = (rng >> 32) as usize % runs.len();
+                if rng & 1 == 0 {
+                    runs[j].merge(a);
+                } else {
+                    let b = std::mem::replace(&mut runs[j], a);
+                    runs[j].merge(b);
+                }
+            }
+            let got = &runs[0].groups;
+            let want: Vec<Group> = oracle.iter().map(|(&id, &(s, c))| (id, s, c)).collect();
+            proptest::prop_assert_eq!(got, &want);
+            proptest::prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
+            proptest::prop_assert!(got.iter().all(|&(_, _, c)| c >= 1));
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Differential harness for the aggregation chunk kernels.
 //!
-//! The locked invariant: `sum_selected_chunk` and `group_by_avg_chunk`
-//! return exactly the integers of a plain fold over `decode_all` and
-//! `Bitmap::get`, whichever route they take inside — the sparse
-//! random-access route, the dense run walk over the decoded buffers, the
-//! dense per-chunk group table (id span at most `rows / 2`) or its
-//! `HashMap` fallback.
+//! The locked invariant: `sum_selected_chunk`, `group_by_avg_chunk_zoned`
+//! and its map adapter `group_by_avg_chunk` return exactly the integers of
+//! a plain fold over `decode_all` and `Bitmap::get`, whichever route they
+//! take inside — the sparse random-access route, the dense run walk over the
+//! decoded buffers, the dense per-chunk group table (id span at most
+//! `rows / 2`) or the sort of the wide-span exact route. The zoned kernel
+//! runs with the exact zone map, one wider than the data and one narrower
+//! (ids outside it, or `min > max`), on one scratch reused across calls;
+//! its groups must come out strictly ascending with every count at least 1.
 //!
 //! Every case runs over all five chunk encodings (Plain, Dict, Delta, FOR,
 //! LeCo), with short frames and partitions so that a chunk holds several of
@@ -19,7 +22,9 @@
 //! `PROPTEST_CASES` (CI: 2048).
 
 use leco_codecs::{DeltaCodec, ForCodec, OpDict};
-use leco_columnar::exec::{group_by_avg_chunk, sum_selected_chunk};
+use leco_columnar::exec::{
+    group_by_avg_chunk, group_by_avg_chunk_zoned, sum_selected_chunk, Group, GroupScratch,
+};
 use leco_columnar::{Bitmap, EncodedColumn};
 use leco_core::{LecoCompressor, LecoConfig};
 use proptest::prelude::*;
@@ -88,6 +93,13 @@ fn check(ids: &[u64], vals: &[u64], sel: &Bitmap, base: usize, label: &str) {
     assert_eq!(ids.len(), vals.len());
     let want_sum = oracle_sum(vals, sel, base);
     let want_groups = oracle_groups(ids, vals, sel, base, seeded_groups(ids));
+    let want: Vec<Group> = want_groups
+        .iter()
+        .map(|(&id, &(s, c))| (id, s, c))
+        .collect();
+    // One scratch for every call: a table slot a call leaves behind would
+    // show in the next call's groups.
+    let mut scratch = GroupScratch::default();
     for ((name, id_chunk), (_, val_chunk)) in encodings(ids).into_iter().zip(encodings(vals)) {
         assert_eq!(id_chunk.decode_all(), ids, "{label} {name}: id round trip");
         assert_eq!(
@@ -114,7 +126,40 @@ fn check(ids: &[u64], vals: &[u64], sel: &Bitmap, base: usize, label: &str) {
         );
         let got: BTreeMap<u64, (u128, u64)> = groups.into_iter().collect();
         assert_eq!(got, want_groups, "{label} {name}: groups");
+
+        for (zone_name, zone) in zones(ids) {
+            let mut groups: Vec<Group> = seeded_groups(ids)
+                .into_iter()
+                .map(|(id, (s, c))| (id, s, c))
+                .collect();
+            group_by_avg_chunk_zoned(
+                &id_chunk,
+                &val_chunk,
+                zone,
+                sel,
+                base,
+                &mut scratch,
+                &mut groups,
+            );
+            let ctx = format!("{label} {name}: zoned groups, {zone_name} zone {zone:?}");
+            assert_eq!(groups, want, "{ctx}");
+            assert!(groups.windows(2).all(|w| w[0].0 < w[1].0), "{ctx}: order");
+            assert!(groups.iter().all(|&(_, _, c)| c >= 1), "{ctx}: counts");
+        }
     }
+}
+
+/// The zone maps the zoned kernel is run with: the chunk's exact
+/// `(min, max)`, one wider than the data, and one narrower (inverted when
+/// the span is below 2), as a corrupt footer might hold.
+fn zones(ids: &[u64]) -> [(&'static str, (u64, u64)); 3] {
+    let min = ids.iter().copied().min().unwrap_or(0);
+    let max = ids.iter().copied().max().unwrap_or(0);
+    [
+        ("exact", (min, max)),
+        ("wider", (min.saturating_sub(3), max.saturating_add(3))),
+        ("narrower", (min.saturating_add(1), max.saturating_sub(1))),
+    ]
 }
 
 /// A bitmap of `base + rows + 70` positions with `chunk(i)` deciding chunk
@@ -219,6 +264,21 @@ fn id_spans_on_both_sides_of_the_dense_bound() {
                 );
             }
         }
+    }
+}
+
+/// The `Random` sensor distribution: 100 K rows of ids drawn from
+/// `1..=10_000`, so the span (≈ 10 000) is far below the dense bound but
+/// neighbouring rows rarely share an id, and the chunk's run overlaps the
+/// seeded groups.
+#[test]
+fn random_ids_over_a_full_size_chunk() {
+    let rows = 100_000;
+    let ids: Vec<u64> = (0..rows as u64).map(|i| 1 + mix(i) % 10_000).collect();
+    let vals: Vec<u64> = (0..rows as u64).map(|i| mix(i + 7) >> 1).collect();
+    for (name, chunk) in selections(rows) {
+        let sel = selection(64, rows, chunk);
+        check(&ids, &vals, &sel, 64, &format!("random ids, {name}"));
     }
 }
 

@@ -13,15 +13,17 @@
 
 use crate::segment::FrozenSegment;
 use leco_columnar::exec::{
-    filter_chunk, group_by_avg_chunk, sum_selected_chunk, Partial, QueryStats,
+    filter_chunk, group_by_avg_chunk_zoned, sum_selected_chunk, GroupScratch, Partial, QueryStats,
 };
 use leco_columnar::{Bitmap, TableFile};
 use leco_scan::{Agg, ScanError, ScanPlan, Scanner};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Accumulate over in-memory row data (`columns` vectors), with an optional
 /// per-row alive test. Used for the memtable (`alive` = `None`) and frozen
-/// segments (`alive` = the segment's mask).
+/// segments (`alive` = the segment's mask). Group partials collect in an
+/// ordered map local to the call and merge into `acc` once, as one sorted
+/// run.
 pub(crate) fn scan_rows(
     columns: &[Vec<u64>],
     alive: Option<&FrozenSegment>,
@@ -29,6 +31,7 @@ pub(crate) fn scan_rows(
     acc: &mut Partial,
 ) {
     let rows = columns.first().map_or(0, Vec::len);
+    let mut groups: BTreeMap<u64, (u128, u64)> = BTreeMap::new();
     // One index walks several parallel column vectors; an iterator would
     // only cover one of them.
     #[allow(clippy::needless_range_loop)]
@@ -50,12 +53,16 @@ pub(crate) fn scan_rows(
             Agg::Count => {}
             Agg::Sum(col) => acc.sum += columns[col][i] as u128,
             Agg::GroupAvg { id_col, val_col } => {
-                let entry = acc.groups.entry(columns[id_col][i]).or_insert((0, 0));
+                let entry = groups.entry(columns[id_col][i]).or_insert((0, 0));
                 entry.0 += columns[val_col][i] as u128;
                 entry.1 += 1;
             }
         }
     }
+    acc.merge(Partial {
+        groups: groups.into_iter().map(|(id, (s, c))| (id, s, c)).collect(),
+        ..Partial::default()
+    });
 }
 
 /// Whether any tombstoned key could live in `file`, judged by the key
@@ -155,7 +162,7 @@ pub(crate) fn scan_file_masked(
     };
     acc.rows_selected += sel.count_ones() as u64;
 
-    let mut decode2: Vec<u64> = Vec::new();
+    let mut group = GroupScratch::default();
     for rg in 0..file.num_row_groups() {
         let (row_start, row_end) = file.row_group_range(rg);
         if sel.count_ones_in(row_start, row_end) == 0 {
@@ -170,15 +177,14 @@ pub(crate) fn scan_file_masked(
             Agg::GroupAvg { id_col, val_col } => {
                 let ids = reader.read_chunk(rg, id_col, &mut stats)?;
                 let vals = reader.read_chunk(rg, val_col, &mut stats)?;
-                let groups = &mut acc.groups;
-                group_by_avg_chunk(
+                group_by_avg_chunk_zoned(
                     ids,
                     vals,
+                    file.zone_map(rg, id_col),
                     &sel,
                     row_start,
-                    &mut decode,
-                    &mut decode2,
-                    groups,
+                    &mut group,
+                    &mut acc.groups,
                 );
             }
         }

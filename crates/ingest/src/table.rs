@@ -1088,7 +1088,10 @@ mod tests {
         let out = table
             .scan(&ScanSpec::count().group_by_avg("id", "val"), 2)
             .unwrap();
-        assert_eq!(out.groups, expect);
+        let mut expect_groups: Vec<(u64, u128, u64)> =
+            expect.iter().map(|(&id, &(s, c))| (id, s, c)).collect();
+        expect_groups.sort_unstable_by_key(|&(id, _, _)| id);
+        assert_eq!(out.groups, expect_groups);
         let got = out.group_avgs();
         assert_eq!(got.len(), expect.len());
         assert!(got.is_sorted_by_key(|&(id, _)| id));

@@ -27,8 +27,10 @@
 //!   buffer, so every chunk is read exactly once per query and the pool's
 //!   workers are the only threads a scan starts.
 //! * **Exact merges.** Partial aggregates are integers (`u128` sums,
-//!   `u64` counts); the final division/sort happens once after the merge, so
-//!   query results are bit-identical for every thread count.
+//!   `u64` counts), and `GROUP BY` partials are runs ascending by id that
+//!   merge without hashing or sorting; the final division happens once
+//!   after the merge, so query results are bit-identical for every thread
+//!   count.
 //! * **Clean failure.** A panicking worker poisons the queues; the scan
 //!   returns [`ScanError::WorkerPanicked`] instead of hanging or unwinding
 //!   through the pool.

@@ -142,10 +142,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// is per-worker (scratch buffers, partial aggregates), tasks are stolen
 /// freely, and the per-worker states come back for a final merge.
 ///
-/// A worker without a task of its own would only build a state and exit,
-/// so at most `n_tasks` workers are spawned (at least one).  With no tasks
-/// at all, `init(0)` runs once on the calling thread and nothing is
-/// spawned.
+/// Worker 0 runs on the calling thread; only workers `1..` are spawned, in
+/// a scope that joins them before returning. A worker without a task of its
+/// own would only build a state and exit, so there are at most `n_tasks`
+/// workers (at least one): a one-worker run, or one with no tasks at all,
+/// spawns no thread.
 ///
 /// `task(state, t)` is invoked exactly once per task index `t` unless a
 /// worker panics, in which case the pool drains, the remaining states are
@@ -161,42 +162,35 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) + Sync,
 {
-    if n_tasks == 0 {
-        return catch_unwind(AssertUnwindSafe(|| vec![init(0)])).map_err(|payload| {
-            PoolError::WorkerPanicked {
-                worker: 0,
-                message: panic_message(payload),
-            }
-        });
-    }
     let queues = WorkQueues::new(n_threads.min(n_tasks), n_tasks);
+    let worker = |w: usize| {
+        let body = catch_unwind(AssertUnwindSafe(|| {
+            let mut state = init(w);
+            while let Some(t) = queues.pop(w) {
+                task(&mut state, t);
+            }
+            state
+        }));
+        match body {
+            Ok(state) => Some(state),
+            Err(payload) => {
+                queues.poison(w, panic_message(payload));
+                None
+            }
+        }
+    };
     let states: Vec<Option<S>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..queues.n_workers())
-            .map(|w| {
-                let queues = &queues;
-                let init = &init;
-                let task = &task;
-                scope.spawn(move || {
-                    let body = catch_unwind(AssertUnwindSafe(|| {
-                        let mut state = init(w);
-                        while let Some(t) = queues.pop(w) {
-                            task(&mut state, t);
-                        }
-                        state
-                    }));
-                    match body {
-                        Ok(state) => Some(state),
-                        Err(payload) => {
-                            queues.poison(w, panic_message(payload));
-                            None
-                        }
-                    }
-                })
-            })
+        let worker = &worker;
+        let handles: Vec<_> = (1..queues.n_workers())
+            .map(|w| scope.spawn(move || worker(w)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker bodies never unwind"))
+        let first = worker(0);
+        std::iter::once(first)
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker bodies never unwind")),
+            )
             .collect()
     });
     if let Some(err) = queues.take_error() {
@@ -275,6 +269,63 @@ mod tests {
         let mut ran: Vec<usize> = states.into_iter().flatten().collect();
         ran.sort_unstable();
         assert_eq!(ran, vec![0, 1]);
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let states = run_with_worker_state(
+            1,
+            5,
+            |_| Vec::new(),
+            |ran: &mut Vec<usize>, t| {
+                assert_eq!(std::thread::current().id(), caller);
+                ran.push(t);
+            },
+        )
+        .unwrap();
+        assert_eq!(states, vec![vec![0, 1, 2, 3, 4]]);
+    }
+
+    #[test]
+    fn exactly_one_state_is_built_on_the_caller() {
+        let caller = std::thread::current().id();
+        let states = run_with_worker_state(
+            4,
+            64,
+            |w| (w, std::thread::current().id() == caller),
+            |_, _| {},
+        )
+        .unwrap();
+        assert_eq!(states.len(), 4);
+        let on_caller: Vec<usize> = states.iter().filter(|s| s.1).map(|s| s.0).collect();
+        assert_eq!(on_caller, vec![0]);
+    }
+
+    #[test]
+    fn a_panic_in_worker_zero_is_still_an_error() {
+        // One worker: the task panics on the calling thread.
+        let err =
+            run_with_worker_state(1, 3, |_| (), |_, t| assert_ne!(t, 1, "task {t}")).unwrap_err();
+        let PoolError::WorkerPanicked { worker, message } = err;
+        assert_eq!(worker, 0);
+        assert!(message.contains("task 1"), "{message}");
+        // Four workers: worker 0's state fails to build on the caller while
+        // the spawned workers run.
+        let err = run_with_worker_state(
+            4,
+            64,
+            |w| {
+                if w == 0 {
+                    panic!("no state for worker {w}");
+                }
+            },
+            |_, _| {},
+        )
+        .unwrap_err();
+        let PoolError::WorkerPanicked { worker, message } = err;
+        assert_eq!(worker, 0);
+        assert!(message.contains("no state for worker 0"), "{message}");
     }
 
     #[test]

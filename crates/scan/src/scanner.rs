@@ -3,7 +3,7 @@
 use crate::pool::{self, PoolError};
 use crate::spec::{Agg, ScanPlan, ScanSpec};
 use leco_columnar::exec::{
-    filter_chunk, filter_chunk_pushdown, group_by_avg_chunk, sum_selected_chunk,
+    filter_chunk, filter_chunk_pushdown, group_by_avg_chunk_zoned, sum_selected_chunk,
 };
 use leco_columnar::{ChunkReader, Partial, QueryStats, ScanScratch, TableFile};
 use leco_obs::Stopwatch;
@@ -269,7 +269,7 @@ impl<'a> Scanner<'a> {
         let (partial, stats) = self.run_partial(n_threads)?;
         Ok(ScanResult {
             groups: partial.group_avgs(),
-            group_partials: partial.sorted_groups(),
+            group_partials: partial.groups,
             sum: partial.sum,
             rows_selected: partial.rows_selected,
             rows_scanned: partial.rows_scanned,
@@ -337,8 +337,8 @@ impl<'a> Scanner<'a> {
             return Err(ScanError::Io(e));
         }
 
-        // ── Merge: integer partials fold exactly; the final division and
-        // sort happen once, so results are independent of the split.
+        // ── Merge: integer partials fold exactly as sorted runs; the final
+        // division happens once, so results are independent of the split.
         let mut merged = ScanScratch::new();
         for state in states {
             merged.merge(state);
@@ -440,13 +440,13 @@ impl<'a> Scanner<'a> {
             Agg::GroupAvg { id_col, val_col } => {
                 let ids = self.table.chunk_encoded(rg, id_col);
                 let vals = self.table.chunk_encoded(rg, val_col);
-                group_by_avg_chunk(
+                group_by_avg_chunk_zoned(
                     ids,
                     vals,
+                    self.table.zone_map(rg, id_col),
                     &scratch.sel,
                     0,
-                    &mut scratch.decode,
-                    &mut scratch.decode2,
+                    &mut scratch.group,
                     &mut scratch.partial.groups,
                 );
             }

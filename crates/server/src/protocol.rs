@@ -288,7 +288,7 @@ pub const SCAN_REPLY_TAG: u8 = 0x80;
 /// group count, then one `(id delta, sum, count)` entry per group in
 /// ascending id order (the first id is absolute).
 pub fn encode_scan_reply(out: &mut Vec<u8>, partial: &Partial, shards: usize) {
-    let groups = partial.sorted_groups();
+    let groups = &partial.groups;
     out.push(SCAN_REPLY_TAG);
     for field in [
         partial.rows_selected as u128,
@@ -301,7 +301,7 @@ pub fn encode_scan_reply(out: &mut Vec<u8>, partial: &Partial, shards: usize) {
         put_varint(out, field);
     }
     let mut prev = 0u64;
-    for (id, sum, count) in groups {
+    for &(id, sum, count) in groups {
         put_varint(out, (id - prev) as u128);
         put_varint(out, sum);
         put_varint(out, count as u128);
@@ -477,7 +477,7 @@ mod tests {
             ..Partial::default()
         };
         for (i, &id) in ids.iter().enumerate() {
-            p.groups.insert(id, (sums[i], counts[i]));
+            p.groups.push((id, sums[i], counts[i]));
         }
         p
     }

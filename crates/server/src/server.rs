@@ -710,13 +710,13 @@ mod tests {
     fn replies_over_the_frame_cap_become_a_json_500() {
         let mut huge = Partial::default();
         for id in 0..40_000u64 {
-            huge.groups.insert(id, (u128::MAX, u64::MAX));
+            huge.groups.push((id, u128::MAX, u64::MAX));
         }
         let mut small = Partial {
             rows_selected: 3,
             ..Partial::default()
         };
-        small.groups.insert(9, (10, 4));
+        small.groups.push((9, 10, 4));
         let mut out = Vec::new();
         write_reply(&mut out, Reply::Json(ok_response(vec![])));
         write_reply(
