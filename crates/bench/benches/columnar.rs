@@ -44,11 +44,13 @@ fn bench_filter_groupby(c: &mut Criterion) {
         let ts_lo = 1_493_700_000_000u64;
         group.bench_function(BenchmarkId::new("query", encoding.name()), |b| {
             b.iter(|| {
-                let mut stats = QueryStats::default();
-                let bitmap =
-                    exec::filter_range(&file, 0, ts_lo, u64::MAX / 2, true, &mut stats).unwrap();
-                let groups = exec::group_by_avg(&file, 1, 2, &bitmap, &mut stats).unwrap();
-                std::hint::black_box(groups.len())
+                let result = Scanner::new(&file)
+                    .filter_col(0, ts_lo, u64::MAX / 2)
+                    .sorted_filter(true)
+                    .group_by_avg_cols(1, 2)
+                    .run(1)
+                    .expect("scan");
+                std::hint::black_box(result.groups.len())
             })
         });
         std::fs::remove_file(path).ok();

@@ -6,8 +6,9 @@
 use leco_bench::report::{BenchReport, TextTable};
 
 const REPORT_NAME: &str = "fig18_fga";
-use leco_columnar::{exec, Encoding, QueryStats, TableFile, TableFileOptions};
+use leco_columnar::{Encoding, TableFile, TableFileOptions};
 use leco_datasets::tables::{sensor_table, SensorDistribution};
+use leco_scan::Scanner;
 
 const ENCODINGS: [Encoding; 4] = [
     Encoding::Default,
@@ -17,7 +18,7 @@ const ENCODINGS: [Encoding; 4] = [
 ];
 const SELECTIVITIES: [f64; 5] = [0.00001, 0.0001, 0.001, 0.01, 0.1];
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rows = leco_bench::small_bench_size();
     println!("# Figure 18 — filter-groupby-aggregation ({rows} rows)\n");
     let mut report = BenchReport::new(REPORT_NAME);
@@ -31,6 +32,7 @@ fn main() -> std::io::Result<()> {
             "IO (ms)",
             "filter+groupby CPU (ms)",
             "total (ms)",
+            "rows selected",
             "groups",
         ]);
         // Write one file per encoding.
@@ -55,18 +57,27 @@ fn main() -> std::io::Result<()> {
             )?;
             files.push((enc, file, path));
         }
-        let ts_min = *t.ts.first().expect("rows > 0");
-        let ts_max = *t.ts.last().expect("rows > 0");
+        let n = t.ts.len();
         for selectivity in SELECTIVITIES {
-            // Time range sized to the requested selectivity (ts is nearly
-            // uniform over its range for this generator).
-            let span = ((ts_max - ts_min) as f64 * selectivity) as u64;
-            let lo = ts_min + (ts_max - ts_min) / 3;
-            let hi = lo + span.max(1);
+            // Time range sized by rank: `ts` is strictly increasing but jumps
+            // between sessions, so a fraction of its value span would select
+            // almost nothing. Anchored a third of the way in.
+            let first = n / 3;
+            let wanted = (selectivity * n as f64).ceil() as usize;
+            let last = (first + wanted - 1).min(n - 1);
+            let (lo, hi) = (t.ts[first], t.ts[last]);
             for (enc, file, _) in &files {
-                let mut stats = QueryStats::default();
-                let bitmap = exec::filter_range(file, 0, lo, hi, true, &mut stats)?;
-                let groups = exec::group_by_avg(file, 1, 2, &bitmap, &mut stats)?;
+                let result = Scanner::new(file)
+                    .filter_col(0, lo, hi)
+                    .sorted_filter(true)
+                    .group_by_avg_cols(1, 2)
+                    .run(1)?;
+                assert!(
+                    result.rows_selected > 0,
+                    "{dist:?} {} at {selectivity}: no row selected",
+                    enc.name()
+                );
+                let stats = &result.stats;
                 table.row(vec![
                     format!("{:.3}%", selectivity * 100.0),
                     enc.name().to_string(),
@@ -74,7 +85,8 @@ fn main() -> std::io::Result<()> {
                     format!("{:.2}", stats.io_seconds * 1_000.0),
                     format!("{:.2}", stats.cpu_seconds * 1_000.0),
                     format!("{:.2}", stats.total_seconds() * 1_000.0),
-                    format!("{}", groups.len()),
+                    format!("{}", result.rows_selected),
+                    format!("{}", result.groups.len()),
                 ]);
             }
             eprintln!("  finished selectivity {selectivity}");

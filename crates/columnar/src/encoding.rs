@@ -264,18 +264,6 @@ impl EncodedColumn {
         }
     }
 
-    /// True when [`crate::exec::filter_chunk_pushdown`] has a compressed
-    /// execution path for this chunk: LeCo (model-inverse plus slack-band
-    /// boundary decode), FOR (packed-domain comparison) and Delta (fused
-    /// compare).  `Plain` and `Dict` chunks have no model or packed domain
-    /// to exploit and fall back to decode-then-filter.
-    pub fn supports_pushdown(&self) -> bool {
-        matches!(
-            self,
-            EncodedColumn::Delta(_) | EncodedColumn::For(_) | EncodedColumn::Leco(_)
-        )
-    }
-
     /// Encoding label.
     pub fn encoding_name(&self) -> &'static str {
         match self {

@@ -1,4 +1,4 @@
-//! Compute kernels and query drivers for the §5.1 experiments.
+//! Compute kernels for the §5.1 experiments.
 //!
 //! The engine uses late materialisation: the filter produces a selection
 //! [`Bitmap`], and the group-by / aggregation kernels consume it per row
@@ -7,16 +7,18 @@
 //! bulk-decodes the chunks and walks the selection run by run over the
 //! decoded buffers, and `GROUP BY` adds those runs into a dense per-chunk
 //! table when the chunk's zone map says its ids span at most half its rows.
-//! Every driver accumulates a [`QueryStats`] separating I/O time (reading
-//! chunk bytes from the data file) from CPU time (decoding + compute), which
-//! is the breakdown plotted in Figures 18, 19 and 21.
+//! Every kernel caller accumulates a [`QueryStats`] separating I/O time
+//! (reading chunk bytes from the data file) from CPU time (decoding +
+//! compute), which is the breakdown plotted in Figures 18, 19 and 21.
 //!
 //! The module is layered so a parallel engine can drive it:
 //!
 //! * **stateless per-chunk kernels** ([`filter_chunk`],
 //!   [`group_by_avg_chunk_zoned`], [`sum_selected_chunk`]) operate on one
 //!   row group's encoded chunks plus explicitly passed scratch; they hold no
-//!   references to the file and can run on any thread,
+//!   references to the file and can run on any thread. The `leco-scan`
+//!   crate's morsel loop composes them from a worker pool, and every
+//!   filter → aggregate query over a file runs there,
 //! * **[`ScanScratch`]** bundles the per-worker mutable state the kernels
 //!   write into (decode buffers, the `GROUP BY` table, a selection bitmap, a
 //!   [`Partial`] and per-worker [`QueryStats`]),
@@ -27,9 +29,8 @@
 //!   id, from the chunk to the wire: each chunk emits its groups in id
 //!   order, every merge is a two-way merge of sorted runs (an append when
 //!   the runs arrive in order), and no layer hashes or sorts them again,
-//! * the **single-threaded drivers** ([`filter_range`], [`group_by_avg`],
-//!   [`sum_selected`]) iterate row groups and compose the kernels; the
-//!   `leco-scan` crate composes the same kernels from a worker pool.
+//! * **[`sum_selected`]** is the one whole-table loop: it sums the rows a
+//!   caller's bitmap selects (§5.1.2), which no scan plan expresses.
 
 use crate::bitmap::Bitmap;
 use crate::encoding::EncodedColumn;
@@ -157,11 +158,6 @@ impl Partial {
             .map(|&(id, sum, count)| (id, sum as f64 / count as f64))
             .collect()
     }
-
-    /// The `(id, sum, count)` group partials, ascending by id.
-    pub fn sorted_groups(&self) -> &[Group] {
-        &self.groups
-    }
 }
 
 /// Fold the ascending run `run` into the ascending `groups`, adding the sums
@@ -259,8 +255,7 @@ pub struct ScanScratch {
     pub decode: Vec<u64>,
     /// Buffers of the `GROUP BY` kernel.
     pub group: GroupScratch,
-    /// Selection bitmap; morsel-local (`reset` per morsel) in parallel scans,
-    /// table-global in the single-threaded drivers.
+    /// Selection bitmap, morsel-local: `reset` per morsel.
     pub sel: Bitmap,
     /// This worker's partial aggregates.
     pub partial: Partial,
@@ -354,8 +349,7 @@ pub fn filter_chunk(
 /// * **Delta** — fused compare: ZigZag decode, prefix summation and range
 ///   test ride one bit-extraction loop; constant (zero-width) frames resolve
 ///   from headers,
-/// * **Plain / Dict** — no compressed domain to exploit
-///   ([`EncodedColumn::supports_pushdown`] is false): falls back to the
+/// * **Plain / Dict** — no compressed domain to exploit: falls back to the
 ///   unsorted [`filter_chunk`] path.
 ///
 /// Row accounting per chunk is exhaustive:
@@ -396,84 +390,6 @@ pub fn filter_chunk_pushdown(
     }
 }
 
-/// Evaluate the pushed-down range predicate `lo <= value <= hi` on column
-/// `col`, producing a selection bitmap over the whole table.
-///
-/// Row groups whose zone map cannot contain a match are skipped without any
-/// I/O.  If `sorted` is set, qualifying positions inside a row group are
-/// found with two model-guided binary searches (LeCo) instead of a scan —
-/// the computation-pruning trick of §5.1.1.
-pub fn filter_range(
-    file: &TableFile,
-    col: usize,
-    lo: u64,
-    hi: u64,
-    sorted: bool,
-    stats: &mut QueryStats,
-) -> std::io::Result<Bitmap> {
-    let mut bitmap = Bitmap::new(file.num_rows());
-    let reader = file.chunk_reader()?;
-    // One decode buffer reused across row groups: the chunks feed it through
-    // the word-parallel `decode_into` bulk path, so an unsorted scan costs a
-    // single allocation regardless of the number of row groups.
-    let mut scratch: Vec<u64> = Vec::new();
-    for rg in 0..file.num_row_groups() {
-        let (zmin, zmax) = file.zone_map(rg, col);
-        if zmax < lo || zmin > hi {
-            stats.row_groups_pruned += 1;
-            continue; // zone-map skip: no I/O, no CPU
-        }
-        let chunk = reader.read_chunk(rg, col, stats)?;
-        let (row_start, _) = file.row_group_range(rg);
-        let cpu = Stopwatch::start();
-        filter_chunk(
-            chunk,
-            lo,
-            hi,
-            sorted,
-            row_start,
-            &mut bitmap,
-            &mut scratch,
-            stats,
-        );
-        stats.charge_cpu(cpu.elapsed_secs());
-    }
-    Ok(bitmap)
-}
-
-/// Compressed-execution driver: like the unsorted [`filter_range`] but each
-/// surviving row group rides [`filter_chunk_pushdown`], so the predicate is
-/// evaluated inside the encoded domain and only boundary rows are decoded.
-///
-/// Zone-map pruning is identical to [`filter_range`]; the new row counters
-/// (`rows_skipped_by_model` / `boundary_rows_decoded` / `rows_decoded_full`)
-/// cover exactly the rows of the chunks that reached the kernel — pruned row
-/// groups are accounted by `row_groups_pruned`, not by the row counters.
-pub fn filter_range_pushdown(
-    file: &TableFile,
-    col: usize,
-    lo: u64,
-    hi: u64,
-    stats: &mut QueryStats,
-) -> std::io::Result<Bitmap> {
-    let mut bitmap = Bitmap::new(file.num_rows());
-    let reader = file.chunk_reader()?;
-    let mut scratch: Vec<u64> = Vec::new();
-    for rg in 0..file.num_row_groups() {
-        let (zmin, zmax) = file.zone_map(rg, col);
-        if zmax < lo || zmin > hi {
-            stats.row_groups_pruned += 1;
-            continue;
-        }
-        let chunk = reader.read_chunk(rg, col, stats)?;
-        let (row_start, _) = file.row_group_range(rg);
-        let cpu = Stopwatch::start();
-        filter_chunk_pushdown(chunk, lo, hi, row_start, &mut bitmap, &mut scratch, stats);
-        stats.charge_cpu(cpu.elapsed_secs());
-    }
-    Ok(bitmap)
-}
-
 /// A selection denser than one row in `DENSE_DIVISOR` makes the sequential
 /// word-parallel decode of the whole row group cheaper than per-position
 /// random access (bulk decode amortises to a few cycles per row, while a
@@ -485,45 +401,6 @@ const DENSE_DIVISOR: usize = 16;
 /// pieces. Each piece then costs an indexed add, and reading the table out
 /// in id order costs at most one slot per two rows.
 const TABLE_DIVISOR: usize = 2;
-
-/// `SELECT AVG(val) ... GROUP BY id` over the positions selected by `bitmap`
-/// (the §5.1.1 query shape).  Returns `(id, average)` pairs.
-///
-/// Composes [`group_by_avg_chunk_zoned`] per row group, bounded by the id
-/// column's zone map: sparse row groups random-access only the qualifying
-/// positions (late materialisation); dense row groups are bulk-decoded and
-/// aggregated run by run.
-pub fn group_by_avg(
-    file: &TableFile,
-    id_col: usize,
-    val_col: usize,
-    bitmap: &Bitmap,
-    stats: &mut QueryStats,
-) -> std::io::Result<Vec<(u64, f64)>> {
-    let reader = file.chunk_reader()?;
-    let mut scratch = ScanScratch::new();
-    for rg in 0..file.num_row_groups() {
-        let (row_start, row_end) = file.row_group_range(rg);
-        if bitmap.count_ones_in(row_start, row_end) == 0 {
-            stats.row_groups_pruned += 1;
-            continue; // row-group skip
-        }
-        let ids = reader.read_chunk(rg, id_col, stats)?;
-        let vals = reader.read_chunk(rg, val_col, stats)?;
-        let cpu = Stopwatch::start();
-        group_by_avg_chunk_zoned(
-            ids,
-            vals,
-            file.zone_map(rg, id_col),
-            bitmap,
-            row_start,
-            &mut scratch.group,
-            &mut scratch.partial.groups,
-        );
-        stats.charge_cpu(cpu.elapsed_secs());
-    }
-    Ok(scratch.partial.group_avgs())
-}
 
 /// `GROUP BY`-average accumulation over one row group's id/value chunks,
 /// merged into the ascending `groups` (see [`Partial`]'s sorted-run
@@ -713,6 +590,11 @@ fn drain_table(slots: &mut [(u128, u64)], min: u64, out: &mut Vec<Group>) {
 /// Bitmap aggregation (§5.1.2): sum of the selected positions of one column.
 /// Row groups whose bitmap slice is all zero are skipped entirely; the rest
 /// go through [`sum_selected_chunk`].
+///
+/// The one whole-table loop left in this module: it takes a caller's
+/// table-global bitmap (Figures 19 and 21), which a `leco-scan` plan, built
+/// from range filters, cannot express. Porting it would copy this loop into
+/// each figure's binary rather than remove it.
 pub fn sum_selected(
     file: &TableFile,
     col: usize,
@@ -828,6 +710,93 @@ mod tests {
         (file, ts, id, val, path)
     }
 
+    /// How [`filter_table`] evaluates a surviving row group.
+    #[derive(Clone, Copy)]
+    enum Filter {
+        Sorted,
+        Unsorted,
+        Pushdown,
+    }
+
+    /// Compose the filter kernels over every row group of `file` into one
+    /// table-global selection (chunks placed at their `row_start`), skipping
+    /// row groups whose zone map cannot match without any I/O.
+    fn filter_table(
+        file: &TableFile,
+        col: usize,
+        lo: u64,
+        hi: u64,
+        mode: Filter,
+        stats: &mut QueryStats,
+    ) -> Bitmap {
+        let mut bitmap = Bitmap::new(file.num_rows());
+        let reader = file.chunk_reader().unwrap();
+        let mut scratch = Vec::new();
+        for rg in 0..file.num_row_groups() {
+            let (zmin, zmax) = file.zone_map(rg, col);
+            if zmax < lo || zmin > hi {
+                stats.row_groups_pruned += 1;
+                continue;
+            }
+            let chunk = reader.read_chunk(rg, col, stats).unwrap();
+            let (row_start, _) = file.row_group_range(rg);
+            match mode {
+                Filter::Pushdown => filter_chunk_pushdown(
+                    chunk,
+                    lo,
+                    hi,
+                    row_start,
+                    &mut bitmap,
+                    &mut scratch,
+                    stats,
+                ),
+                Filter::Sorted | Filter::Unsorted => filter_chunk(
+                    chunk,
+                    lo,
+                    hi,
+                    matches!(mode, Filter::Sorted),
+                    row_start,
+                    &mut bitmap,
+                    &mut scratch,
+                    stats,
+                ),
+            }
+        }
+        bitmap
+    }
+
+    /// `AVG(val) GROUP BY id` over a table-global selection, composing
+    /// [`group_by_avg_chunk_zoned`] over the row groups `bitmap` touches.
+    fn group_table(
+        file: &TableFile,
+        id_col: usize,
+        val_col: usize,
+        bitmap: &Bitmap,
+        stats: &mut QueryStats,
+    ) -> Vec<(u64, f64)> {
+        let reader = file.chunk_reader().unwrap();
+        let mut scratch = ScanScratch::new();
+        for rg in 0..file.num_row_groups() {
+            let (row_start, row_end) = file.row_group_range(rg);
+            if bitmap.count_ones_in(row_start, row_end) == 0 {
+                stats.row_groups_pruned += 1;
+                continue;
+            }
+            let ids = reader.read_chunk(rg, id_col, stats).unwrap();
+            let vals = reader.read_chunk(rg, val_col, stats).unwrap();
+            group_by_avg_chunk_zoned(
+                ids,
+                vals,
+                file.zone_map(rg, id_col),
+                bitmap,
+                row_start,
+                &mut scratch.group,
+                &mut scratch.partial.groups,
+            );
+        }
+        scratch.partial.group_avgs()
+    }
+
     #[test]
     fn filter_groupby_matches_reference_for_all_encodings() {
         for (k, enc) in [
@@ -842,8 +811,8 @@ mod tests {
             let (file, ts, id, val, path) = build(30_000, *enc, &format!("fga{k}"));
             let (lo, hi) = (5_000u64, 9_000u64);
             let mut stats = QueryStats::default();
-            let bitmap = filter_range(&file, 0, lo, hi, true, &mut stats).unwrap();
-            let got = group_by_avg(&file, 1, 2, &bitmap, &mut stats).unwrap();
+            let bitmap = filter_table(&file, 0, lo, hi, Filter::Sorted, &mut stats);
+            let got = group_table(&file, 1, 2, &bitmap, &mut stats);
             let expected = reference_query(&ts, &id, &val, lo, hi);
             assert_eq!(got.len(), expected.len(), "{enc:?}");
             for (g, e) in got.iter().zip(&expected) {
@@ -860,8 +829,8 @@ mod tests {
         let (file, ts, _, _, path) = build(20_000, Encoding::Leco, "unsorted");
         let mut s1 = QueryStats::default();
         let mut s2 = QueryStats::default();
-        let a = filter_range(&file, 0, 2_000, 30_000, true, &mut s1).unwrap();
-        let b = filter_range(&file, 0, 2_000, 30_000, false, &mut s2).unwrap();
+        let a = filter_table(&file, 0, 2_000, 30_000, Filter::Sorted, &mut s1);
+        let b = filter_table(&file, 0, 2_000, 30_000, Filter::Unsorted, &mut s2);
         assert_eq!(a, b);
         let expected = ts
             .iter()
@@ -876,9 +845,9 @@ mod tests {
         let (file, _, _, _, path) = build(40_000, Encoding::Leco, "skip");
         // Selective predicate hits only the first row group.
         let mut narrow = QueryStats::default();
-        filter_range(&file, 0, 1_000, 1_200, true, &mut narrow).unwrap();
+        filter_table(&file, 0, 1_000, 1_200, Filter::Sorted, &mut narrow);
         let mut wide = QueryStats::default();
-        filter_range(&file, 0, 0, u64::MAX, true, &mut wide).unwrap();
+        filter_table(&file, 0, 0, u64::MAX, Filter::Sorted, &mut wide);
         assert!(
             narrow.io_bytes < wide.io_bytes,
             "narrow {} wide {}",
@@ -896,7 +865,8 @@ mod tests {
     #[test]
     fn chunk_kernels_match_drivers() {
         // Drive the stateless per-chunk kernels by hand (morsel-local
-        // bitmaps, base 0) and check they reproduce the drivers' answers.
+        // bitmaps, base 0), the way a scan's morsel loop does, and check
+        // them against a fold over the raw vectors.
         let (file, ts, id, val, path) = build(30_000, Encoding::Leco, "kernels");
         let (lo, hi) = (4_000u64, 40_000u64);
         let mut stats = QueryStats::default();
@@ -1008,7 +978,7 @@ mod tests {
             (15, 150, 3)
         );
         assert_eq!(
-            ab.sorted_groups(),
+            ab.groups,
             vec![(1, 15, 3), (2, 20, 2), (3, 30, 3), (4, 40, 4)]
         );
         let avgs = ab.group_avgs();
@@ -1056,7 +1026,7 @@ mod tests {
         assert_eq!(a_bc.sum, 2 * big + 1);
         assert!(a_bc.sum > u64::MAX as u128);
         let groups = vec![(7, 2 * big, 3), (8, 2, 1), (9, big + 1, 4)];
-        assert_eq!(a_bc.sorted_groups(), groups);
+        assert_eq!(a_bc.groups, groups);
         let counts = (a_bc.rows_selected, a_bc.rows_scanned, a_bc.morsels);
         assert_eq!(counts, (6, 15, 3));
         // The averages divide the exact totals once.
@@ -1183,7 +1153,7 @@ mod tests {
             let got = sum_selected(&file, 2, bm, &mut stats).unwrap();
             let expected: u128 = bm.iter_ones().map(|p| val[p] as u128).sum();
             assert_eq!(got, expected);
-            let groups = group_by_avg(&file, 1, 2, bm, &mut stats).unwrap();
+            let groups = group_table(&file, 1, 2, bm, &mut stats);
             let mut sums: HashMap<u64, (u128, u64)> = HashMap::new();
             for p in bm.iter_ones() {
                 let e = sums.entry(id[p]).or_insert((0, 0));
@@ -1350,9 +1320,9 @@ mod tests {
             let (file, _, _, val, path) = build(30_000, *enc, &format!("pdrv{k}"));
             for (lo, hi) in [(0u64, u64::MAX), (2_000, 2_100), (9_999, 9_999), (8, 2)] {
                 let mut s_ref = QueryStats::default();
-                let reference = filter_range(&file, 2, lo, hi, false, &mut s_ref).unwrap();
+                let reference = filter_table(&file, 2, lo, hi, Filter::Unsorted, &mut s_ref);
                 let mut s_pd = QueryStats::default();
-                let got = filter_range_pushdown(&file, 2, lo, hi, &mut s_pd).unwrap();
+                let got = filter_table(&file, 2, lo, hi, Filter::Pushdown, &mut s_pd);
                 assert_eq!(got, reference, "{enc:?} [{lo},{hi}]");
                 // Row accounting covers exactly the chunks that were read.
                 let rows_read: u64 = (0..file.num_row_groups())
@@ -1373,7 +1343,7 @@ mod tests {
             }
             // Reference validation against the raw column.
             let mut stats = QueryStats::default();
-            let got = filter_range_pushdown(&file, 2, 2_000, 7_999, &mut stats).unwrap();
+            let got = filter_table(&file, 2, 2_000, 7_999, Filter::Pushdown, &mut stats);
             assert_eq!(got, reference_bitmap(&val, 2_000, 7_999));
             std::fs::remove_file(&path).ok();
         }
@@ -1387,7 +1357,7 @@ mod tests {
         let (file, ts, _, _, path) = build(40_000, Encoding::Leco, "pdsel");
         let (lo, hi) = (1_000u64, 1_080u64); // ~40 of 40_000 rows
         let mut s_pd = QueryStats::default();
-        let got = filter_range_pushdown(&file, 0, lo, hi, &mut s_pd).unwrap();
+        let got = filter_table(&file, 0, lo, hi, Filter::Pushdown, &mut s_pd);
         assert_eq!(got, reference_bitmap(&ts, lo, hi));
         assert_eq!(s_pd.rows_decoded_full, 0, "model inverse should cover Leco");
         let touched = s_pd.boundary_rows_decoded;

@@ -40,5 +40,5 @@ pub mod file;
 
 pub use bitmap::Bitmap;
 pub use encoding::{EncodedColumn, Encoding};
-pub use exec::{group_by_avg, sum_selected, Partial, QueryStats, ScanScratch};
+pub use exec::{sum_selected, Partial, QueryStats, ScanScratch};
 pub use file::{BlockCompression, ChunkReader, TableFile, TableFileOptions};

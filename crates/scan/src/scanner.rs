@@ -384,9 +384,9 @@ impl<'a> Scanner<'a> {
             Some((col, lo, hi)) => {
                 let chunk = self.table.chunk_encoded(rg, col);
                 // Kernel selection: a sorted column is resolved by binary
-                // search; otherwise compressed execution handles the
-                // encodings with an exploitable domain and everything else
-                // (or pushdown off) takes the decode-then-filter path.
+                // search; otherwise pushdown runs compressed execution (which
+                // itself decodes then filters Plain and Dict chunks), and
+                // with pushdown off every chunk decodes then filters.
                 if self.sorted {
                     filter_chunk(
                         chunk,
@@ -398,7 +398,7 @@ impl<'a> Scanner<'a> {
                         &mut scratch.decode,
                         &mut scratch.stats,
                     );
-                } else if self.pushdown && chunk.supports_pushdown() {
+                } else if self.pushdown {
                     filter_chunk_pushdown(
                         chunk,
                         lo,

@@ -1,14 +1,16 @@
-//! Scan-engine acceptance tests: thread-count invariance on synthetic and
-//! Zipf tables, clean poisoning on worker panic, and provable zone-map
-//! pruning via the `QueryStats` chunk counters.
+//! Scan-engine acceptance tests: exact results against an integer fold over
+//! the raw columns for every encoding and filter kernel, thread-count
+//! invariance on synthetic and Zipf tables, clean poisoning on worker panic,
+//! and provable zone-map pruning via the `QueryStats` chunk counters.
 
-use leco_columnar::{exec, Encoding, QueryStats, TableFile, TableFileOptions};
+use leco_columnar::{Encoding, TableFile, TableFileOptions};
 use leco_datasets::tables::{sensor_table, SensorDistribution};
 use leco_datasets::zipf::Zipf;
 use leco_ingest::{IngestConfig, LiveTable};
 use leco_scan::{ScanError, ScanSpec, Scanner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -72,6 +74,37 @@ fn write_zipf(rows: usize, name: &str) -> (TableFile, PathBuf) {
     (table, path)
 }
 
+/// The exact answer to `WHERE lo <= filter <= hi`, folded over the raw
+/// columns: `(rows_selected, SUM(vals), GROUP BY ids (id, sum, count))`,
+/// the groups ascending by id.
+fn fold_query(
+    filter: &[u64],
+    lo: u64,
+    hi: u64,
+    ids: &[u64],
+    vals: &[u64],
+) -> (u64, u128, Vec<(u64, u128, u64)>) {
+    let (mut selected, mut sum) = (0, 0);
+    let mut groups: BTreeMap<u64, (u128, u64)> = BTreeMap::new();
+    for i in (0..filter.len()).filter(|&i| (lo..=hi).contains(&filter[i])) {
+        selected += 1;
+        sum += vals[i] as u128;
+        let group = groups.entry(ids[i]).or_default();
+        group.0 += vals[i] as u128;
+        group.1 += 1;
+    }
+    let groups = groups.into_iter().map(|(id, (s, c))| (id, s, c)).collect();
+    (selected, sum, groups)
+}
+
+/// `(id, avg)` pairs of the folded groups: the one division per group.
+fn fold_avgs(groups: &[(u64, u128, u64)]) -> Vec<(u64, f64)> {
+    groups
+        .iter()
+        .map(|&(id, sum, count)| (id, sum as f64 / count as f64))
+        .collect()
+}
+
 /// Bit-exact comparison of group-by results: the f64 averages must be the
 /// very same bits, not merely close.
 fn assert_groups_identical(a: &[(u64, f64)], b: &[(u64, f64)], ctx: &str) {
@@ -79,6 +112,134 @@ fn assert_groups_identical(a: &[(u64, f64)], b: &[(u64, f64)], ctx: &str) {
     for ((ka, va), (kb, vb)) in a.iter().zip(b) {
         assert_eq!(ka, kb, "{ctx}: group key");
         assert_eq!(va.to_bits(), vb.to_bits(), "{ctx}: avg bits for id {ka}");
+    }
+}
+
+const ALL_ENCODINGS: [Encoding; 6] = [
+    Encoding::Default,
+    Encoding::Plain,
+    Encoding::Delta,
+    Encoding::For,
+    Encoding::Leco,
+    Encoding::LecoVar,
+];
+
+const QUERY_ROW_GROUP: usize = 8_000;
+
+/// 30 000 rows of columns `ts` (sorted, step 2), `id` (50 ids, so dense
+/// chunks aggregate through the table indexed by `id − min`), `wide` (ids
+/// spanning more than half a row group, so they take the sorting route) and
+/// `val` (unsorted).
+fn write_query_table(encoding: Encoding, name: &str) -> (TableFile, [Vec<u64>; 4], PathBuf) {
+    let rows = 30_000u64;
+    let columns = [
+        (0..rows).map(|i| 1_000 + i * 2).collect(),
+        (0..rows).map(|i| i % 50 + 1).collect(),
+        (0..rows).map(|i| (i * 7_919) % 20_011).collect(),
+        (0..rows).map(|i| (i * 37) % 10_000).collect::<Vec<u64>>(),
+    ];
+    let path = tmp(name);
+    let table = TableFile::write(
+        &path,
+        &["ts", "id", "wide", "val"],
+        &columns,
+        TableFileOptions {
+            encoding,
+            row_group_size: QUERY_ROW_GROUP,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    (table, columns, path)
+}
+
+#[test]
+fn filter_group_by_and_sum_match_an_integer_fold_for_every_encoding() {
+    const TS: usize = 0;
+    const VAL: usize = 3;
+    // (filter column, lo, hi): on the sorted `ts` column every filter kernel
+    // applies; on `val` only the two unsorted ones do. The `val` ranges give
+    // sparse (≈ 1 %) and dense selections for the aggregation kernels.
+    let filters = [
+        (TS, 1_000, 1_080), // 41 rows, in the first row group only
+        (TS, 5_000, 9_000),
+        (TS, 2_000, 30_000), // across row groups
+        (TS, 0, u64::MAX),
+        (TS, 100_000, u64::MAX), // past every row: all pruned
+        (VAL, 0, u64::MAX),
+        (VAL, 2_000, 2_100),
+        (VAL, 9_999, 9_999),
+        (VAL, 2_000, 7_999),
+        (VAL, 8, 2), // inverted: selects nothing
+    ];
+    // (sorted, pushdown): binary search, compressed execution and
+    // decode-then-filter.
+    let kernels = [(true, true), (false, true), (false, false)];
+    for (k, encoding) in ALL_ENCODINGS.into_iter().enumerate() {
+        let (table, columns, path) = write_query_table(encoding, &format!("fold-{k}"));
+        let chunks = |col: usize| columns[col].chunks(QUERY_ROW_GROUP);
+        for (fc, lo, hi) in filters {
+            // Zone-map pruning, folded from the raw row groups.
+            let live = chunks(fc)
+                .filter(|c| {
+                    let (min, max) = (c.iter().min().unwrap(), c.iter().max().unwrap());
+                    !(*max < lo || *min > hi)
+                })
+                .map(|c| c.len() as u64);
+            let (morsels, rows_scanned) = live.fold((0, 0), |(m, r), len| (m + 1, r + len));
+            let pruned = (chunks(fc).len() - morsels) as u64;
+            for (sorted, pushdown) in kernels {
+                if sorted && fc != TS {
+                    continue;
+                }
+                for id_col in [1, 2] {
+                    let (selected, sum, groups) =
+                        fold_query(&columns[fc], lo, hi, &columns[id_col], &columns[VAL]);
+                    let scan = || {
+                        Scanner::new(&table)
+                            .filter_col(fc, lo, hi)
+                            .sorted_filter(sorted)
+                            .pushdown_filter(pushdown)
+                    };
+                    for threads in [1, 4] {
+                        let ctx = format!(
+                            "{encoding:?} col {fc} [{lo},{hi}] sorted={sorted} \
+                             pushdown={pushdown} ids {id_col} threads={threads}"
+                        );
+                        let g = scan().group_by_avg_cols(id_col, VAL).run(threads).unwrap();
+                        let s = scan().sum_col(VAL).run(threads).unwrap();
+                        assert_eq!(g.rows_selected, selected, "{ctx}");
+                        assert_eq!(g.group_partials, groups, "{ctx}");
+                        assert_groups_identical(&g.groups, &fold_avgs(&groups), &ctx);
+                        assert_eq!((s.rows_selected, s.sum), (selected, sum), "{ctx}");
+                        for r in [&g, &s] {
+                            assert_eq!(
+                                (r.morsels, r.rows_scanned),
+                                (morsels, rows_scanned),
+                                "{ctx}"
+                            );
+                            assert_eq!(r.stats.row_groups_pruned, pruned, "{ctx}");
+                            assert_eq!(r.stats.io_bytes > 0, morsels > 0, "{ctx}");
+                        }
+                        let distinct = if fc == VAL { 2 } else { 3 };
+                        assert_eq!(g.stats.chunks_read, distinct * morsels as u64, "{ctx}");
+                        // Every scanned row lands in exactly one bucket, and
+                        // the kernel that ran is the one the flags name.
+                        let st = &g.stats;
+                        let accounted = st.rows_skipped_by_model
+                            + st.boundary_rows_decoded
+                            + st.rows_decoded_full;
+                        assert_eq!(accounted, rows_scanned, "{ctx}");
+                        if sorted {
+                            assert_eq!(st.rows_skipped_by_model, rows_scanned, "{ctx}");
+                        } else if !pushdown {
+                            assert_eq!(st.rows_decoded_full, rows_scanned, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -96,11 +257,12 @@ fn group_by_results_bit_identical_across_thread_counts() {
             .group_by_avg_cols(1, 2)
             .run(1)
             .unwrap();
-        // The single-threaded exec driver must agree with the engine.
-        let mut stats = QueryStats::default();
-        let bitmap = exec::filter_range(&table, 0, lo, hi, true, &mut stats).unwrap();
-        let driver_groups = exec::group_by_avg(&table, 1, 2, &bitmap, &mut stats).unwrap();
-        assert_groups_identical(&reference.groups, &driver_groups, "driver-vs-engine");
+        // The engine must agree with an integer fold over the raw columns.
+        let t = sensor_table(60_000, dist, 7);
+        let (selected, _, groups) = fold_query(&t.ts, lo, hi, &t.id, &t.val);
+        assert_eq!(reference.rows_selected, selected, "{name}");
+        assert_eq!(reference.group_partials, groups, "{name}");
+        assert_groups_identical(&reference.groups, &fold_avgs(&groups), "fold-vs-engine");
         for threads in THREAD_COUNTS {
             let got = Scanner::new(&table)
                 .filter_col(0, lo, hi)
@@ -234,11 +396,24 @@ fn pushdown_decodes_less_than_full_scan_on_selective_predicate() {
         .run(4)
         .unwrap();
     assert_eq!(pushdown.rows_selected, baseline.rows_selected);
+    assert_eq!(pushdown.rows_selected, 51); // ts steps by 3 from zlo
     let pushdown_decoded = pushdown.stats.boundary_rows_decoded + pushdown.stats.rows_decoded_full;
     assert!(
         pushdown_decoded < baseline.stats.rows_decoded_full / 10,
         "pushdown decoded {pushdown_decoded} vs baseline {}",
         baseline.stats.rows_decoded_full
+    );
+    // Only the first row group survives pruning, and all of it but a slack
+    // band resolves from the model inverse.
+    let stats = &pushdown.stats;
+    assert_eq!(
+        stats.rows_decoded_full, 0,
+        "model inverse should cover LeCo"
+    );
+    let (touched, skipped) = (stats.boundary_rows_decoded, stats.rows_skipped_by_model);
+    assert!(
+        touched < 200 && skipped > 7_000,
+        "boundary {touched} skipped {skipped}"
     );
     std::fs::remove_file(&path).ok();
 }

@@ -4,10 +4,11 @@
 //!
 //! Run with: `cargo run --release --example columnar_analytics`
 
-use leco::columnar::{exec, Encoding, QueryStats, TableFile, TableFileOptions};
+use leco::columnar::{Encoding, TableFile, TableFileOptions};
 use leco::datasets::tables::{sensor_table, SensorDistribution};
+use leco::scan::Scanner;
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rows = 400_000;
     let table = sensor_table(rows, SensorDistribution::Correlated, 7);
     println!("sensor table: {rows} rows (ts, id, val), correlated distribution\n");
@@ -42,10 +43,13 @@ fn main() -> std::io::Result<()> {
             },
         )?;
 
-        let mut stats = QueryStats::default();
         // SELECT AVG(val) FROM t WHERE ts BETWEEN lo AND hi GROUP BY id
-        let bitmap = exec::filter_range(&file, 0, ts_lo, ts_hi, true, &mut stats)?;
-        let groups = exec::group_by_avg(&file, 1, 2, &bitmap, &mut stats)?;
+        let result = Scanner::new(&file)
+            .filter("ts", ts_lo, ts_hi)
+            .sorted_filter(true)
+            .group_by_avg("id", "val")
+            .run(1)?;
+        let stats = &result.stats;
 
         println!(
             "{:<10} {:>9.1} MB {:>10.2} {:>10.2} {:>10.2} {:>8}",
@@ -54,7 +58,7 @@ fn main() -> std::io::Result<()> {
             stats.io_seconds * 1e3,
             stats.cpu_seconds * 1e3,
             stats.total_seconds() * 1e3,
-            groups.len()
+            result.groups.len()
         );
         std::fs::remove_file(&path).ok();
     }

@@ -6,6 +6,7 @@ use leco::columnar::{
     exec, Bitmap, BlockCompression, Encoding, QueryStats, TableFile, TableFileOptions,
 };
 use leco::datasets::tables::{sensor_table, SensorDistribution};
+use leco::scan::Scanner;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -59,14 +60,18 @@ fn all_encodings_agree_with_the_reference_engine() {
             },
         )
         .unwrap();
-        let mut stats = QueryStats::default();
-        let bitmap = exec::filter_range(&file, 0, lo, hi, true, &mut stats).unwrap();
-        let groups = exec::group_by_avg(&file, 1, 2, &bitmap, &mut stats).unwrap();
-        assert_eq!(groups.len(), expected.len(), "{encoding:?}");
-        for (g, e) in groups.iter().zip(&expected) {
+        let result = Scanner::new(&file)
+            .filter_col(0, lo, hi)
+            .sorted_filter(true)
+            .group_by_avg_cols(1, 2)
+            .run(1)
+            .unwrap();
+        assert_eq!(result.groups.len(), expected.len(), "{encoding:?}");
+        for (g, e) in result.groups.iter().zip(&expected) {
             assert_eq!(g.0, e.0, "{encoding:?}");
-            assert!((g.1 - e.1).abs() < 1e-9, "{encoding:?}");
+            assert_eq!(g.1.to_bits(), e.1.to_bits(), "{encoding:?}");
         }
+        let stats = &result.stats;
         assert!(stats.io_bytes > 0 && stats.total_seconds() > 0.0);
         std::fs::remove_file(path).ok();
     }
