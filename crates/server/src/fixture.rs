@@ -12,7 +12,7 @@ use crate::shard::{shard_for_key, Manifest, ShardData};
 use leco_columnar::{TableFile, TableFileOptions};
 use leco_ingest::{IngestConfig, LiveTable};
 use leco_kvstore::{Store, StoreOptions};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -114,7 +114,21 @@ impl ShardSetBuilder {
     }
 
     /// Write every shard's files and assemble the [`ShardSet`].
+    ///
+    /// A table name may be added once, as a table or as a live table: a
+    /// `SCAN` routes by name, so a name used twice is `InvalidInput` and
+    /// nothing is written.
     pub fn build(self) -> std::io::Result<ShardSet> {
+        let mut seen = HashSet::new();
+        let live_names = self.live_tables.iter().map(|t| &t.name);
+        for name in self.tables.iter().map(|t| &t.name).chain(live_names) {
+            if !seen.insert(name) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("table name {name:?} is used twice"),
+                ));
+            }
+        }
         std::fs::create_dir_all(&self.dir)?;
         let n = self.shards;
 
@@ -243,5 +257,36 @@ mod tests {
         assert_eq!(next, rows as u64);
         assert!(dir.join("manifest.json").exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn assert_rejected(builder: ShardSetBuilder, dir: &Path) {
+        let err = builder
+            .build()
+            .err()
+            .expect("a name used twice is rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(err.to_string(), r#"table name "t" is used twice"#);
+        assert!(!dir.exists(), "a rejected set writes nothing");
+    }
+
+    #[test]
+    fn a_table_name_added_twice_is_rejected() {
+        let dir = tmp_dir("twice-static");
+        std::fs::remove_dir_all(&dir).ok();
+        let builder = ShardSetBuilder::new(&dir, 2)
+            .table("t", &["a"], vec![(0..10).collect()])
+            .table("u", &["a"], vec![(0..10).collect()])
+            .table("t", &["b"], vec![(10..20).collect()]);
+        assert_rejected(builder, &dir);
+    }
+
+    #[test]
+    fn a_table_and_a_live_table_may_not_share_a_name() {
+        let dir = tmp_dir("twice-mixed");
+        std::fs::remove_dir_all(&dir).ok();
+        let builder = ShardSetBuilder::new(&dir, 2)
+            .table("t", &["k", "v"], vec![(0..10).collect(), (0..10).collect()])
+            .live_table("t", &["k", "v"], IngestConfig::default());
+        assert_rejected(builder, &dir);
     }
 }

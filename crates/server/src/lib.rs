@@ -5,20 +5,25 @@
 //! `FLUSH`, `STATS`) accepted by a thread-per-connection frontend over `N`
 //! shards — each owning a slice of every row-group table file, an optional
 //! WAL-backed [`leco_ingest::LiveTable`] slice, and a
-//! [`leco_kvstore::Store`].  Point lookups read the shared stores on the
-//! connection thread; everything else runs on one worker thread per shard,
-//! with the `leco-scan` work-stealing pool underneath every shard-local
-//! scan.  See `docs/SERVING.md`
+//! [`leco_kvstore::Store`].  Read-only data is served on the connection
+//! thread: point lookups read the shared stores, and a `SCAN` of a static
+//! table runs a [`leco_scan::Scanner`] over each shard's file in turn.
+//! Writes, `FLUSH` and scans of live tables run on one worker thread per
+//! shard.  Every scan, on either thread, runs the `leco-scan` work-stealing
+//! pool underneath.  See `docs/SERVING.md`
 //! for the frame layout, routing rules and lifecycle, and `docs/INGEST.md`
 //! for the write path behind `PUT`/`DEL`/`FLUSH`.
 //!
 //! * **Routing.**  Point lookups read the store of `fnv1a64(key) % shards`
-//!   ([`shard::shard_for_key`]); scans fan out to all shards and merge
+//!   ([`shard::shard_for_key`]); scans cover every shard's slice and merge
 //!   *integer partials*, so a sharded result is bit-identical to a single
 //!   in-process [`leco_scan::Scanner`] run at any shard count.
-//! * **Pipelining.**  A connection drains every buffered request frame into
-//!   one batch and dispatches the whole batch before awaiting replies, so a
-//!   pipelining client keeps all shard workers busy from a single socket.
+//! * **Concurrency.**  Connections run in parallel, so concurrent read-only
+//!   requests — lookups and static scans — are bounded only by the number of
+//!   connections.  A connection drains every buffered request frame into
+//!   one batch: reads in it run one after another on its thread, while the
+//!   writes and live scans in it are dispatched together before any reply
+//!   is awaited, so a pipelining client keeps all shard workers busy.
 //! * **Isolation.**  Malformed requests answer `400` and the connection
 //!   survives; shard failures answer `500` and the worker survives; only a
 //!   corrupt frame length closes the connection.

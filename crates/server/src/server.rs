@@ -2,12 +2,14 @@
 //! shard dispatch → ordered replies.
 //!
 //! One thread per connection reads length-prefixed frames and parses
-//! commands.  `GET`/`MGET` are answered right there, against each shard's
-//! shared read-only [`Store`]; `SCAN`/`PUT`/`DEL`/`FLUSH` go to the shard
-//! workers over channels.  Reads drain the socket buffer into a
-//! [`FrameCursor`], so a pipelining client's burst of requests is dispatched
-//! as one *batch* — every shard involved works in parallel — and the replies
-//! are written back in request order.
+//! commands.  Read-only work is answered right there: `GET`/`MGET` against
+//! each shard's shared read-only [`Store`], and a `SCAN` of a static table
+//! over each shard's shared row-group file, one file after another.
+//! `PUT`/`DEL`/`FLUSH` and a `SCAN` of a live table go to the shard workers
+//! over channels.  Reads drain the socket buffer into a [`FrameCursor`], so
+//! a pipelining client's burst of requests is dispatched as one *batch* —
+//! every shard worker involved works in parallel — and the replies are
+//! written back in request order.
 //!
 //! Failure isolation: a malformed request earns a `400` reply and the
 //! connection lives on; a shard-side failure earns a `500`; only a corrupt
@@ -20,12 +22,15 @@ use crate::protocol::{
     encode_scan_reply, error_response, ok_response, parse_request, response_code, FrameCursor,
     FrameError, Request, MAX_FRAME,
 };
-use crate::shard::{run_shard_worker, shard_for_key, Manifest, ShardCmd, ShardJob, ShardReply};
+use crate::shard::{
+    run_shard_worker, scan_file, shard_for_key, Manifest, ShardCmd, ShardData, ShardJob, ShardReply,
+};
 use crate::ShardSet;
 use leco_bench::report::Json;
-use leco_columnar::Partial;
+use leco_columnar::{Partial, TableFile};
 use leco_kvstore::Store;
 use leco_obs::Stopwatch;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,13 +43,17 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (tests, benchmarks).
     pub addr: String,
-    /// Work-stealing threads each shard uses for one scan.
+    /// Threads one scan of one shard's file uses, the calling thread
+    /// included: a static table's shard files are scanned one after another
+    /// on the connection thread, a live table's on each shard worker.
     pub scan_threads: usize,
     /// Most requests dispatched as one pipelined batch.
     pub max_batch: usize,
     /// How often blocked reads wake up to check for shutdown.
     pub poll_interval: Duration,
-    /// How long a connection waits for a shard reply before answering `500`.
+    /// How long a connection waits for a shard worker's reply before
+    /// answering `500`.  Work done on the connection thread (`GET`, `MGET`,
+    /// a static-table `SCAN`) has no timeout.
     pub reply_timeout: Duration,
 }
 
@@ -72,10 +81,14 @@ pub struct Server {
     shard_txs: Vec<mpsc::Sender<ShardJob>>,
 }
 
+#[derive(Clone)]
 struct ConnContext {
     txs: Vec<mpsc::Sender<ShardJob>>,
     /// Each shard's store, indexed by shard id: point lookups read it here.
     stores: Vec<Arc<Store>>,
+    /// Each static table's row-group files, indexed by shard id: scans of a
+    /// static table read them here.
+    tables: Arc<HashMap<String, Vec<TableFile>>>,
     manifest: Arc<Manifest>,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
@@ -84,7 +97,11 @@ struct ConnContext {
 impl Server {
     /// Start serving `set` according to `config`: one worker thread per
     /// shard, one accept thread, one thread per accepted connection.
-    pub fn start(set: ShardSet, config: ServerConfig) -> std::io::Result<Server> {
+    ///
+    /// A static table that some shard lacks is `InvalidInput`: a scan must
+    /// cover every shard's slice.
+    pub fn start(mut set: ShardSet, config: ServerConfig) -> std::io::Result<Server> {
+        let tables = Arc::new(take_static_tables(&mut set.shards)?);
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -104,23 +121,22 @@ impl Server {
 
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_handle = {
-            let shutdown = Arc::clone(&shutdown);
             let conn_handles = Arc::clone(&conn_handles);
-            let txs = shard_txs.clone();
-            let config = config.clone();
+            let template = ConnContext {
+                txs: shard_txs.clone(),
+                stores,
+                tables,
+                manifest,
+                shutdown: Arc::clone(&shutdown),
+                config,
+            };
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
-                    if shutdown.load(Ordering::Acquire) {
+                    if template.shutdown.load(Ordering::Acquire) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    let ctx = ConnContext {
-                        txs: txs.clone(),
-                        stores: stores.clone(),
-                        manifest: Arc::clone(&manifest),
-                        shutdown: Arc::clone(&shutdown),
-                        config: config.clone(),
-                    };
+                    let ctx = template.clone();
                     let handle = std::thread::spawn(move || handle_connection(stream, ctx));
                     conn_handles.lock().expect("conn list lock").push(handle);
                 }
@@ -162,6 +178,27 @@ impl Server {
         for handle in self.shard_handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// Move every shard's static table files out of `shards` into one map,
+/// each table's files in shard order, so connection threads can scan them
+/// and the shard workers keep only live tables and stores.
+fn take_static_tables(
+    shards: &mut [ShardData],
+) -> std::io::Result<HashMap<String, Vec<TableFile>>> {
+    let mut tables: HashMap<String, Vec<TableFile>> = HashMap::new();
+    for shard in shards.iter_mut() {
+        for (name, file) in std::mem::take(&mut shard.tables) {
+            tables.entry(name).or_default().push(file);
+        }
+    }
+    match tables.iter().find(|(_, files)| files.len() != shards.len()) {
+        Some((name, _)) => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("table {name:?} is not on every shard"),
+        )),
+        None => Ok(tables),
     }
 }
 
@@ -209,7 +246,7 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
 
         // Drain complete frames into a batch and dispatch them all before
         // waiting on any reply: that is what turns a pipelining client into
-        // parallel work across the shards.
+        // parallel work across the shard workers.
         loop {
             out.clear();
             let mut batch: Vec<Pending> = Vec::new();
@@ -252,12 +289,19 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
 }
 
 /// A reply ready to be framed.
+#[derive(Debug)]
 enum Reply {
     /// Every reply but a successful `SCAN`: one JSON object.
     Json(Json),
     /// A successful `SCAN`: the shards' merged partial and their count,
     /// sent as one binary frame.
     Scan(Box<Partial>, usize),
+}
+
+impl From<Json> for Reply {
+    fn from(json: Json) -> Self {
+        Reply::Json(json)
+    }
 }
 
 /// Append `reply` as one frame to `out`: the payload is written in place
@@ -289,10 +333,11 @@ fn write_reply(out: &mut Vec<u8>, reply: Reply) {
     }
 }
 
-/// A dispatched request: either already answerable or waiting on shards.
+/// A dispatched request: either answered on the connection thread or
+/// waiting on shard workers.
 enum Pending {
     Ready {
-        reply: Json,
+        reply: Reply,
         latency: &'static str,
         started: Stopwatch,
     },
@@ -322,7 +367,7 @@ impl Pending {
                 started,
             } => {
                 leco_obs::histogram(latency).record(started.elapsed_ns());
-                Reply::Json(reply)
+                reply
             }
             Pending::Waiting {
                 rx,
@@ -356,7 +401,7 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
         Ok(request) => request,
         Err(message) => {
             return Pending::Ready {
-                reply: error_response(400, &message),
+                reply: error_response(400, &message).into(),
                 latency: "srv.latency.error_ns",
                 started,
             }
@@ -372,7 +417,7 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
                 Err(e) => error_response(500, &format!("shard {shard}: get failed: {e}")),
             };
             Pending::Ready {
-                reply,
+                reply: reply.into(),
                 latency: "srv.latency.get_ns",
                 started,
             }
@@ -401,7 +446,7 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
                 }
             };
             Pending::Ready {
-                reply,
+                reply: reply.into(),
                 latency: "srv.latency.mget_ns",
                 started,
             }
@@ -415,7 +460,7 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
                 .find(|(name, _)| *name == table)
             else {
                 return Pending::Ready {
-                    reply: error_response(400, &format!("unknown live table {table:?}")),
+                    reply: error_response(400, &format!("unknown live table {table:?}")).into(),
                     latency: "srv.latency.put_ns",
                     started,
                 };
@@ -428,7 +473,8 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
                             "PUT row has {} values but the key column is #{key_col}",
                             row.len()
                         ),
-                    ),
+                    )
+                    .into(),
                     latency: "srv.latency.put_ns",
                     started,
                 };
@@ -461,7 +507,7 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
                 .any(|(name, _)| *name == table)
             {
                 return Pending::Ready {
-                    reply: error_response(400, &format!("unknown live table {table:?}")),
+                    reply: error_response(400, &format!("unknown live table {table:?}")).into(),
                     latency: "srv.latency.del_ns",
                     started,
                 };
@@ -509,19 +555,34 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
         }
         Request::Scan { table, spec } => {
             leco_obs::counter!("srv.cmd.scan").inc();
-            let known = ctx.manifest.tables.iter().any(|(name, _)| *name == table)
-                || ctx
-                    .manifest
-                    .live_tables
-                    .iter()
-                    .any(|(name, _)| *name == table);
-            if !known {
+            let live = ctx
+                .manifest
+                .live_tables
+                .iter()
+                .any(|(name, _)| *name == table);
+            if !live {
+                // A static table is read-only, so no queued write can be
+                // ahead of this scan: run each shard's file here, in order.
+                let reply = match ctx.tables.get(&table) {
+                    Some(files) => {
+                        let replies = files
+                            .iter()
+                            .enumerate()
+                            .map(|(k, file)| {
+                                (k, scan_file(k, file, &spec, ctx.config.scan_threads))
+                            })
+                            .collect();
+                        assemble(WaitKind::Scan, replies)
+                    }
+                    None => error_response(400, &format!("unknown table {table:?}")).into(),
+                };
                 return Pending::Ready {
-                    reply: error_response(400, &format!("unknown table {table:?}")),
+                    reply,
                     latency: "srv.latency.scan_ns",
                     started,
                 };
             }
+            // A live table's scan queues behind the writes sent before it.
             let (reply_tx, rx) = mpsc::channel();
             for target in 0..shards {
                 send_job(
@@ -548,7 +609,7 @@ fn dispatch(payload: &[u8], ctx: &ConnContext) -> Pending {
         Request::Stats => {
             leco_obs::counter!("srv.cmd.stats").inc();
             Pending::Ready {
-                reply: stats_response(ctx),
+                reply: stats_response(ctx).into(),
                 latency: "srv.latency.stats_ns",
                 started,
             }
@@ -689,7 +750,104 @@ fn stats_response(ctx: &ConnContext) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::ShardSetBuilder;
     use crate::protocol::decode_scan_reply;
+    use leco_columnar::TableFileOptions;
+    use leco_ingest::IngestConfig;
+    use leco_scan::{ScanSpec, Scanner};
+
+    /// A static `SCAN` is answered by `dispatch` itself, even though no shard
+    /// worker drains the queues; a live one waits in every shard's queue.
+    #[test]
+    fn static_scans_answer_inline_and_live_scans_queue_for_the_workers() {
+        let dir = std::env::temp_dir().join(format!("leco-server-inline-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let rows = 20_000u64;
+        let ts: Vec<u64> = (0..rows).map(|i| 5 * i + i % 3).collect();
+        let id: Vec<u64> = (0..rows).map(|i| i % 7).collect();
+        let val: Vec<u64> = (0..rows).map(|i| (i * 31) % 1_000).collect();
+        let mut set = ShardSetBuilder::new(&dir, 2)
+            .table_options(TableFileOptions {
+                row_group_size: 4096,
+                ..Default::default()
+            })
+            .table("t", &["ts", "id", "val"], vec![ts, id, val])
+            .live_table("l", &["k", "v"], IngestConfig::default())
+            .build()
+            .unwrap();
+        // The receivers are held, never drained: no worker runs.
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| mpsc::channel::<ShardJob>()).unzip();
+        let ctx = ConnContext {
+            txs,
+            stores: set.shards.iter().map(|s| Arc::clone(&s.store)).collect(),
+            tables: Arc::new(take_static_tables(&mut set.shards).unwrap()),
+            manifest: Arc::new(set.manifest.clone()),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            config: ServerConfig::default(),
+        };
+
+        for (request, spec) in [
+            ("SCAN t", ScanSpec::count()),
+            (
+                "SCAN t FILTER ts 30000 60000 SUM val",
+                ScanSpec::count().filter("ts", 30_000, 60_000).sum("val"),
+            ),
+            (
+                "SCAN t GROUPBY id AGG avg val",
+                ScanSpec::count().group_by_avg("id", "val"),
+            ),
+        ] {
+            let Pending::Ready {
+                reply: Reply::Scan(got, shards),
+                ..
+            } = dispatch(request.as_bytes(), &ctx)
+            else {
+                panic!("{request} was not answered inline");
+            };
+            let mut want = Partial::default();
+            for k in 0..2 {
+                let file = TableFile::open(dir.join(format!("t-s{k}.tbl"))).unwrap();
+                let scan = Scanner::from_spec(&file, &spec).unwrap();
+                want.merge(scan.run_partial(1).unwrap().0);
+            }
+            assert!(want.rows_selected > 0, "{request}");
+            assert_eq!((*got, shards), (want, 2), "{request}");
+        }
+        for rx in &rxs {
+            assert!(rx.try_recv().is_err(), "a static scan queued a job");
+        }
+
+        let Pending::Waiting { expect: 2, .. } = dispatch(b"SCAN l SUM v", &ctx) else {
+            panic!("a live scan was answered without its shard workers");
+        };
+        for (k, rx) in rxs.iter().enumerate() {
+            let job = rx
+                .try_recv()
+                .expect("the live scan is queued on every shard");
+            assert_eq!(job.tag, k);
+            assert!(matches!(&job.cmd, ShardCmd::Scan { table, .. } if table == "l"));
+            assert!(rx.try_recv().is_err(), "one job per shard");
+        }
+        drop((ctx, set));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_static_table_missing_from_a_shard_is_refused() {
+        let dir = std::env::temp_dir().join(format!("leco-server-partial-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut set = ShardSetBuilder::new(&dir, 2)
+            .table("t", &["a"], vec![(0..10).collect()])
+            .build()
+            .unwrap();
+        set.shards[1].tables.clear();
+        let err = Server::start(set, ServerConfig::default())
+            .err()
+            .expect("a table on one shard of two is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(err.to_string(), r#"table "t" is not on every shard"#);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     fn frames(wire: &[u8]) -> Vec<Vec<u8>> {
         let mut cursor = FrameCursor::new();

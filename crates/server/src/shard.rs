@@ -1,14 +1,15 @@
 //! Shards: routing, the per-shard worker loop, and the manifest.
 //!
-//! Each shard worker is one thread owning its slice of the tables — a set of
-//! row-group table files plus live tables — and a receiver of
-//! [`ShardJob`]s.  Point lookups route to exactly one shard by key hash
-//! ([`shard_for_key`]) and read that shard's shared [`Store`] on the
-//! connection thread, never through a worker; scans fan out to every shard
-//! holding a slice of the table and come back as one exact integer
-//! [`Partial`] each, which the connection folds with [`Partial::merge`] and
-//! finalizes once, so a sharded result is bit-identical to a single
-//! in-process scan.
+//! Each shard worker is one thread owning its slice of the live tables and
+//! a receiver of [`ShardJob`]s.  Read-only data never goes through a worker:
+//! point lookups route to exactly one shard by key hash ([`shard_for_key`])
+//! and read that shard's shared [`Store`] on the connection thread, and a
+//! static table's scan runs a [`Scanner`] over each shard's row-group file
+//! on the connection thread too.  Every scan, static or live, covers every
+//! shard's slice of the table and comes back as one exact integer
+//! [`Partial`] per shard, which the connection folds with
+//! [`Partial::merge`] and finalizes once, so a sharded result is
+//! bit-identical to a single in-process scan.
 //!
 //! A bad request (unknown table or column) and an internal failure both
 //! come back as replies, never as a dead worker: the worker loop only exits
@@ -43,6 +44,8 @@ pub struct ShardData {
     /// Shard index in `0..shards`.
     pub id: usize,
     /// Table name → this shard's row-group file for that table.
+    /// [`Server::start`](crate::Server::start) moves these out to the
+    /// connection threads, which scan them; the worker never sees them.
     pub tables: HashMap<String, TableFile>,
     /// Live table name → this shard's WAL-backed ingestible slice.  Rows
     /// route here by the key column's hash, so one key's rows all live on
@@ -55,7 +58,7 @@ pub struct ShardData {
 
 /// What a shard worker is asked to do.
 pub enum ShardCmd {
-    /// One shard's share of a `SCAN`.
+    /// One shard's share of a `SCAN` of a live table.
     Scan {
         /// Table name.
         table: String,
@@ -110,18 +113,20 @@ pub struct ShardJob {
     pub reply: mpsc::Sender<(usize, ShardReply)>,
 }
 
-/// The shard worker loop: run jobs until every sender is gone.
+/// The shard worker loop: run jobs against `data`'s live tables until every
+/// sender is gone.
 ///
 /// Each wake-up drains the whole queue and walks it in arrival order. A
 /// run of consecutive `Put`s to one live table is group-committed: one
 /// [`LiveTable::put_batch`], one WAL fsync, and every row in it is acked
 /// only after that returns (a failed commit answers `500` to all of them).
-/// Every other job runs alone, in queue order, so a `Scan` sees every write
-/// queued before it.
+/// Every other job runs alone, in queue order, so a live `Scan` sees every
+/// write queued before it.  Static tables are not the worker's: their scans
+/// run on the connection threads.
 ///
-/// `scan_threads` is the work-stealing parallelism each shard-local
-/// [`Scanner`] run uses.  Errors are turned into replies — a bad request
-/// never kills the worker.
+/// `scan_threads` is the threads each live-table scan on this shard uses,
+/// the worker's own included.  Errors are turned into replies — a bad
+/// request never kills the worker.
 pub fn run_shard_worker(data: &ShardData, jobs: mpsc::Receiver<ShardJob>, scan_threads: usize) {
     let mut queue: Vec<ShardJob> = Vec::new();
     while let Ok(job) = jobs.recv() {
@@ -226,31 +231,36 @@ fn execute(data: &ShardData, cmd: &ShardCmd, scan_threads: usize) -> ShardReply 
     }
 }
 
-/// One shard's share of a scan: a live table through [`LiveTable::scan`], a
-/// static one through a [`Scanner`] built from the same `spec`, each giving
-/// the same exact [`Partial`].  A column the table does not have is the
-/// resolver's [`ScanError::ColumnNotFound`] on either kind, answered `400`.
+/// One shard's share of a live table's scan, through [`LiveTable::scan`].
+/// A column the table does not have is the resolver's
+/// [`ScanError::ColumnNotFound`], answered `400` as [`scan_file`] answers it.
 fn execute_scan(data: &ShardData, table: &str, spec: &ScanSpec, scan_threads: usize) -> ShardReply {
-    let (scanned, failed) = if let Some(live) = data.live_tables.get(table) {
-        (live.scan(spec, scan_threads), "live scan failed")
-    } else if let Some(file) = data.tables.get(table) {
-        let scanned =
-            Scanner::from_spec(file, spec).and_then(|scan| scan.run_partial(scan_threads));
-        (
-            scanned
-                .map(|(partial, _)| partial)
-                .map_err(std::io::Error::other),
-            "scan failed",
-        )
-    } else {
+    let Some(live) = data.live_tables.get(table) else {
         return ShardReply::BadRequest(format!("unknown table {table:?}"));
     };
-    match scanned {
+    match live.scan(spec, scan_threads) {
         Ok(partial) => ShardReply::Scan(Box::new(partial)),
         Err(e) => match e.get_ref().and_then(|inner| inner.downcast_ref()) {
             Some(ScanError::ColumnNotFound(_)) => ShardReply::BadRequest(e.to_string()),
-            _ => ShardReply::Error(format!("shard {}: {failed}: {e}", data.id)),
+            _ => ShardReply::Error(format!("shard {}: live scan failed: {e}", data.id)),
         },
+    }
+}
+
+/// Shard `shard`'s share of a static table's scan: a [`Scanner`] built from
+/// `spec` over that shard's `file`, run on the calling thread plus
+/// `scan_threads - 1` pool workers.  A column the file does not have
+/// answers `400`; any other failure answers `500`, naming the shard.
+pub(crate) fn scan_file(
+    shard: usize,
+    file: &TableFile,
+    spec: &ScanSpec,
+    scan_threads: usize,
+) -> ShardReply {
+    match Scanner::from_spec(file, spec).and_then(|scan| scan.run_partial(scan_threads)) {
+        Ok((partial, _)) => ShardReply::Scan(Box::new(partial)),
+        Err(e @ ScanError::ColumnNotFound(_)) => ShardReply::BadRequest(e.to_string()),
+        Err(e) => ShardReply::Error(format!("shard {shard}: scan failed: {e}")),
     }
 }
 
@@ -269,7 +279,8 @@ pub struct Manifest {
     /// ranges, shard `k` holding the `k`-th slice.
     pub tables: Vec<(String, Vec<(u64, u64)>)>,
     /// Live (writable) tables: `(name, key_col)`.  A `PUT`/`DEL` routes to
-    /// `fnv1a64(row[key_col]) % shards`; scans fan out like static tables.
+    /// `fnv1a64(row[key_col]) % shards`; a scan fans out to every shard
+    /// worker, queued behind the writes sent before it.
     pub live_tables: Vec<(String, usize)>,
 }
 

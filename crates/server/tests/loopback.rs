@@ -317,6 +317,43 @@ fn scan_over_tcp_bit_identical_across_shard_counts() {
     std::fs::remove_dir_all(&truth_dir).ok();
 }
 
+#[test]
+fn a_truncated_shard_file_answers_500_naming_the_shard_and_the_connection_survives() {
+    let dir = tmp_dir("truncated");
+    let server = start_server(&dir, 2, 20_000, 100);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let reply = client.request("SCAN sensors SUM val").unwrap();
+    assert_eq!(response_code(&reply), 200, "{}", reply.render());
+
+    // Every chunk read of shard 1 now runs past the end of its file.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join("sensors-s1.tbl"))
+        .unwrap()
+        .set_len(0)
+        .unwrap();
+    for request in [
+        "SCAN sensors SUM val",
+        "SCAN sensors GROUPBY id AGG avg val",
+    ] {
+        let reply = client.request(request).unwrap();
+        assert_eq!(response_code(&reply), 500, "{request}: {}", reply.render());
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some("shard 1: scan failed: scan I/O error: failed to fill whole buffer"),
+            "{request}"
+        );
+    }
+    // A filter that only shard 0's zone maps admit reads nothing of shard 1.
+    let reply = client.request("SCAN sensors FILTER ts 0 2000").unwrap();
+    assert_eq!(response_code(&reply), 200, "{}", reply.render());
+
+    let reply = client.request("GET key000042").unwrap();
+    assert_eq!(get_value(&reply).as_deref(), Some("value-42"));
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Write path: PUT / DEL / FLUSH against live tables.
 // ---------------------------------------------------------------------------
