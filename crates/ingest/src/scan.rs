@@ -1,5 +1,8 @@
-//! Snapshot scans over a live table: memtable + frozen segments + compacted
-//! row groups, folded into one exact [`Partial`].
+//! Snapshot scans over a live table's in-memory rows: the memtable and the
+//! frozen segments, folded into one exact [`Partial`]. Compacted files do
+//! not come through here: `LiveTable::scan` runs each one through the
+//! morsel-driven `leco_scan::Scanner`, its tombstoned keys masked per row
+//! group.
 //!
 //! Bit-identity contract: every tier adds exact integers into the same
 //! [`Partial`] — row counts in `u64`, sums in `u128`, group-by partials as
@@ -12,12 +15,9 @@
 //! spread across memtable, frozen segments and files.
 
 use crate::segment::FrozenSegment;
-use leco_columnar::exec::{
-    filter_chunk, group_by_avg_chunk_zoned, sum_selected_chunk, GroupScratch, Partial, QueryStats,
-};
-use leco_columnar::{Bitmap, TableFile};
-use leco_scan::{Agg, ScanError, ScanPlan, Scanner};
-use std::collections::{BTreeMap, HashSet};
+use leco_columnar::Partial;
+use leco_scan::{Agg, ScanPlan};
+use std::collections::BTreeMap;
 
 /// Accumulate over in-memory row data (`columns` vectors), with an optional
 /// per-row alive test. Used for the memtable (`alive` = `None`) and frozen
@@ -63,131 +63,4 @@ pub(crate) fn scan_rows(
         groups: groups.into_iter().map(|(id, (s, c))| (id, s, c)).collect(),
         ..Partial::default()
     });
-}
-
-/// Whether any tombstoned key could live in `file`, judged by the key
-/// column's zone maps. False positives only cost a masked scan / rewrite.
-pub(crate) fn file_may_contain(file: &TableFile, key_col: usize, keys: &HashSet<u64>) -> bool {
-    if keys.is_empty() {
-        return false;
-    }
-    (0..file.num_row_groups()).any(|rg| {
-        let (min, max) = file.zone_map(rg, key_col);
-        keys.iter().any(|&k| (min..=max).contains(&k))
-    })
-}
-
-/// Scan one compacted file with no tombstones touching it: delegate to the
-/// morsel-driven [`Scanner`] at the requested thread count. Every row of
-/// the file is live, so all of them count as scanned.
-pub(crate) fn scan_file_clean(
-    file: &TableFile,
-    plan: &ScanPlan,
-    threads: usize,
-) -> std::io::Result<Partial> {
-    let scanned = Scanner::with_plan(file, *plan).run_partial(threads);
-    let (mut partial, _) = scanned.map_err(|e| match e {
-        ScanError::Io(e) => e,
-        other => std::io::Error::other(other),
-    })?;
-    partial.rows_scanned = file.num_rows() as u64;
-    Ok(partial)
-}
-
-/// Scan one compacted file that tombstones may touch: build an alive bitmap
-/// from the key column (`key ∉ tombstones`), intersect it with the filter
-/// selection, and aggregate with the shared chunk kernels. Single-threaded —
-/// masked files exist only in the window between a delete and the next
-/// compaction. Row groups that survive the filter's zone maps count as
-/// morsels, as they do in a [`Scanner`] run.
-pub(crate) fn scan_file_masked(
-    file: &TableFile,
-    key_col: usize,
-    tombstones: &HashSet<u64>,
-    plan: &ScanPlan,
-    acc: &mut Partial,
-) -> std::io::Result<()> {
-    let n = file.num_rows();
-    let reader = file.chunk_reader()?;
-    let mut stats = QueryStats::default();
-    let mut decode: Vec<u64> = Vec::new();
-
-    // Alive bitmap: one pass over the key column.
-    let mut alive = Bitmap::new(n);
-    let mut live_rows = 0u64;
-    for rg in 0..file.num_row_groups() {
-        let chunk = reader.read_chunk(rg, key_col, &mut stats)?;
-        let (row_start, _) = file.row_group_range(rg);
-        decode.clear();
-        chunk.decode_into(&mut decode);
-        for (local, key) in decode.iter().enumerate() {
-            if !tombstones.contains(key) {
-                alive.set(row_start + local);
-                live_rows += 1;
-            }
-        }
-    }
-    acc.rows_scanned += live_rows;
-
-    // Selection: filter ∧ alive (or alive alone when unfiltered).
-    let sel = match plan.filter {
-        Some((col, lo, hi)) => {
-            let mut sel = Bitmap::new(n);
-            for rg in 0..file.num_row_groups() {
-                let (zmin, zmax) = file.zone_map(rg, col);
-                if zmax < lo || zmin > hi {
-                    continue;
-                }
-                acc.morsels += 1;
-                let chunk = reader.read_chunk(rg, col, &mut stats)?;
-                let (row_start, _) = file.row_group_range(rg);
-                filter_chunk(
-                    chunk,
-                    lo,
-                    hi,
-                    false,
-                    row_start,
-                    &mut sel,
-                    &mut decode,
-                    &mut stats,
-                );
-            }
-            sel.and(&alive);
-            sel
-        }
-        None => {
-            acc.morsels += file.num_row_groups();
-            alive
-        }
-    };
-    acc.rows_selected += sel.count_ones() as u64;
-
-    let mut group = GroupScratch::default();
-    for rg in 0..file.num_row_groups() {
-        let (row_start, row_end) = file.row_group_range(rg);
-        if sel.count_ones_in(row_start, row_end) == 0 {
-            continue;
-        }
-        match plan.agg {
-            Agg::Count => {}
-            Agg::Sum(col) => {
-                let chunk = reader.read_chunk(rg, col, &mut stats)?;
-                acc.sum += sum_selected_chunk(chunk, &sel, row_start, &mut decode);
-            }
-            Agg::GroupAvg { id_col, val_col } => {
-                let ids = reader.read_chunk(rg, id_col, &mut stats)?;
-                let vals = reader.read_chunk(rg, val_col, &mut stats)?;
-                group_by_avg_chunk_zoned(
-                    ids,
-                    vals,
-                    file.zone_map(rg, id_col),
-                    &sel,
-                    row_start,
-                    &mut group,
-                    &mut acc.groups,
-                );
-            }
-        }
-    }
-    Ok(())
 }

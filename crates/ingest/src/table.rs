@@ -56,21 +56,21 @@
 //!
 //! `DEL key` kills every row whose key column equals `key` *at that moment*:
 //! memtable rows are purged in place, frozen segments get a copy-on-write
-//! alive mask, and compacted files are masked at scan time by a tombstone
-//! set (every live tombstone postdates every compacted row, so plain key
-//! membership is exact). Each tombstone carries the epoch of its delete;
-//! compaction rewrites the files it can prove the tombstones touch and then
-//! drops exactly the tombstones that existed when its snapshot was taken —
-//! a delete racing the compactor keeps its tombstone and masks the freshly
-//! written files too.
+//! alive mask, and compacted files are masked at scan time, row group by
+//! row group, by a tombstone set (every live tombstone postdates every
+//! compacted row, so plain key membership is exact). Each tombstone
+//! carries the epoch of its delete; compaction rewrites the files it can
+//! prove the tombstones touch and then drops exactly the tombstones that
+//! existed when its snapshot was taken — a delete racing the compactor
+//! keeps its tombstone and masks the freshly written files too.
 
 use crate::manifest::{sync_dir, Manifest};
-use crate::scan::{file_may_contain, scan_file_clean, scan_file_masked, scan_rows};
+use crate::scan::scan_rows;
 use crate::segment::{FrozenSegment, MemSegment};
 use crate::stats::ColumnStats;
 use crate::wal::{replay, ReplayReport, Wal, WalRecord};
 use leco_columnar::{Encoding, Partial, TableFile, TableFileOptions};
-use leco_scan::ScanSpec;
+use leco_scan::{ScanError, ScanSpec, Scanner};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
@@ -535,8 +535,10 @@ impl LiveTable {
     }
 
     /// Scan a consistent snapshot: memtable + frozen segments + compacted
-    /// files, folded into one exact [`Partial`]. `threads` parallelizes the
-    /// compacted-file portion through the `leco-scan` morsel engine.
+    /// files, folded into one exact [`Partial`]. Each compacted file runs
+    /// through the `leco-scan` morsel engine on `threads` workers, its
+    /// tombstoned keys masked per row group
+    /// ([`Scanner::without_keys`]).
     ///
     /// `rows_scanned` counts the snapshot's live rows; `morsels` counts the
     /// compacted-file row groups that survived zone-map pruning (memtable
@@ -563,11 +565,13 @@ impl LiveTable {
             scan_rows(seg.columns(), Some(seg), &plan, &mut acc);
         }
         for file in &files {
-            if file_may_contain(&file.table, inner.key_col, &tombstones) {
-                scan_file_masked(&file.table, inner.key_col, &tombstones, &plan, &mut acc)?;
-            } else {
-                acc.merge(scan_file_clean(&file.table, &plan, threads)?);
-            }
+            let scanner =
+                Scanner::with_plan(&file.table, plan).without_keys(inner.key_col, &tombstones);
+            let (partial, _) = scanner.run_partial(threads).map_err(|e| match e {
+                ScanError::Io(e) => e,
+                other => std::io::Error::other(other),
+            })?;
+            acc.merge(partial);
         }
         leco_obs::histogram!("ing.scan_secs").record_secs(sw.elapsed_secs());
         Ok(acc)
@@ -669,6 +673,15 @@ fn choose_encoding(stats: &[ColumnStats]) -> Encoding {
     } else {
         Encoding::Plain
     }
+}
+
+/// Whether any tombstoned key could live in `file`, judged by the key
+/// column's zone maps. False positives only cost a rewrite.
+fn file_may_contain(file: &TableFile, key_col: usize, keys: &HashSet<u64>) -> bool {
+    (0..file.num_row_groups()).any(|rg| {
+        let (min, max) = file.zone_map(rg, key_col);
+        keys.iter().any(|&k| (min..=max).contains(&k))
+    })
 }
 
 /// One full compaction cycle. Heavy work (reads, encodes, file writes)
@@ -1117,6 +1130,38 @@ mod tests {
             !message.contains("Os {") && !message.contains("Io("),
             "{message}"
         );
+        drop(table);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_truncated_masked_file_fails_the_scan_at_every_thread_count() {
+        let dir = tmp_dir("truncated-masked");
+        let table = LiveTable::open(&dir, &["key", "id", "val"], manual_config()).unwrap();
+        put_all(&table, &sample_rows(400));
+        assert_eq!(table.flush().unwrap().files_written, 1);
+        // The tombstone masks the file at scan time until a compaction.
+        table.delete(7).unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(table_file_name(0)))
+            .unwrap();
+        file.set_len(0).unwrap();
+        drop(file);
+        for spec in [
+            ScanSpec::count(),
+            ScanSpec::count().filter("key", 40, 49).sum("val"),
+            ScanSpec::count().group_by_avg("id", "val"),
+        ] {
+            for threads in [1, 4] {
+                let err = table.scan(&spec, threads).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::UnexpectedEof,
+                    "{spec:?}: {err}"
+                );
+            }
+        }
         drop(table);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -279,3 +279,60 @@ proptest! {
         std::fs::remove_dir_all(&ref_dir).ok();
     }
 }
+
+/// A flushed file of many row groups with tombstones in two of them: the
+/// file is masked per row group, so every spec (plus a `key` filter that
+/// prunes both touched row groups) must still match the reference at every
+/// thread count, and the masked scan runs the same morsels as an unmasked
+/// `Scanner` over the same file.
+#[test]
+fn tombstones_in_two_row_groups_of_a_multi_row_group_file() {
+    let dir = tmp_dir("multi-rg");
+    let ref_dir = tmp_dir("multi-rg-ref");
+    let config = IngestConfig {
+        row_group_size: 64,
+        auto_compact: false,
+        ..IngestConfig::default()
+    };
+    let table = LiveTable::open(&dir, &COLS, config).unwrap();
+    let mut model = Model::default();
+    // 576 distinct keys, put in descending order: the flush sorts them into
+    // 9 row groups of 64 keys each.
+    for key in (0..576u64).rev() {
+        let row = [key, key % 5, (key * 37) % 10_000];
+        table.put(&row).unwrap();
+        model.put(row);
+    }
+    table.flush().unwrap();
+    let tables: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tbl"))
+        .collect();
+    assert_eq!(tables.len(), 1, "{tables:?}");
+    let file = TableFile::open(&tables[0]).unwrap();
+    assert_eq!(file.num_row_groups(), 9);
+
+    // Keys in row groups 1 and 4, plus one inside row group 1's zone map
+    // that no row holds.
+    for key in [70, 71, 127, 300, 1_000] {
+        table.delete(key).unwrap();
+        model.delete(key);
+    }
+    let mut specs = specs();
+    specs.push(ScanSpec::count().filter("key", 400, 575).sum("val"));
+    for (si, spec) in specs.iter().enumerate() {
+        let unmasked = Scanner::from_spec(&file, spec).unwrap().run(1).unwrap();
+        for threads in [1usize, 2, 4] {
+            let live = table.scan(spec, threads).unwrap();
+            let reference = reference_scan(&model, spec, threads, &ref_dir);
+            let context = format!("spec {si}, {threads} threads");
+            assert_outputs_identical(&live, &reference, &context);
+            assert_eq!(live.morsels, unmasked.morsels, "{context}: morsels");
+        }
+    }
+
+    drop(table);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&ref_dir).ok();
+}

@@ -5,8 +5,9 @@ use crate::spec::{Agg, ScanPlan, ScanSpec};
 use leco_columnar::exec::{
     filter_chunk, filter_chunk_pushdown, group_by_avg_chunk_zoned, sum_selected_chunk,
 };
-use leco_columnar::{ChunkReader, Partial, QueryStats, ScanScratch, TableFile};
+use leco_columnar::{Bitmap, ChunkReader, Partial, QueryStats, ScanScratch, TableFile};
 use leco_obs::Stopwatch;
+use std::collections::HashSet;
 
 /// Errors surfaced by [`Scanner::run`] and [`Scanner::run_partial`].
 #[derive(Debug)]
@@ -76,7 +77,9 @@ pub struct ScanResult {
     pub sum: u128,
     /// Rows passing the filter (all scanned rows when there is no filter).
     pub rows_selected: u64,
-    /// Rows in the row groups that were actually scanned (after pruning).
+    /// Rows in the row groups that were actually scanned (after pruning);
+    /// with [`Scanner::without_keys`], the file's live rows, pruned row
+    /// groups included.
     pub rows_scanned: u64,
     /// Morsels executed (row groups surviving zone-map pruning).
     pub morsels: usize,
@@ -117,6 +120,8 @@ pub struct Scanner<'a> {
     /// domain (model inverse for LeCo, packed-domain compare for FOR, fused
     /// compare for Delta) instead of decode-then-filter.
     pushdown: bool,
+    /// `(key column, dead keys)`: rows whose key is in the set are deleted.
+    dead_keys: Option<(usize, &'a HashSet<u64>)>,
     /// Test hook: panic while executing this global morsel index.
     inject_panic_at: Option<usize>,
 }
@@ -136,6 +141,7 @@ impl<'a> Scanner<'a> {
             plan,
             sorted: false,
             pushdown: true,
+            dead_keys: None,
             inject_panic_at: None,
         }
     }
@@ -236,6 +242,15 @@ impl<'a> Scanner<'a> {
         self
     }
 
+    /// Treat every row whose `key_col` value is in `dead` as deleted, and
+    /// count the file's live rows, pruned row groups included, as scanned.
+    /// Only a row group whose key zone map holds a dead key pays for the
+    /// mask: its morsel also reads the key chunk.
+    pub fn without_keys(mut self, key_col: usize, dead: &'a HashSet<u64>) -> Self {
+        self.dead_keys = Some((key_col, dead));
+        self
+    }
+
     /// Test hook: make whichever worker executes morsel `k` panic, to
     /// exercise pool poisoning end-to-end.  Hidden from docs; not part of the
     /// stable API.
@@ -245,9 +260,9 @@ impl<'a> Scanner<'a> {
         self
     }
 
-    /// Columns the scan must read per morsel, deduplicated.
-    fn needed_columns(&self) -> Vec<usize> {
-        let mut cols = Vec::new();
+    /// Columns the scan must read per morsel, plus `extra`, deduplicated.
+    fn needed_columns(&self, extra: Option<usize>) -> Vec<usize> {
+        let mut cols: Vec<usize> = extra.into_iter().collect();
         if let Some((col, _, _)) = self.plan.filter {
             cols.push(col);
         }
@@ -287,24 +302,46 @@ impl<'a> Scanner<'a> {
         let mut sched_stats = QueryStats::default();
 
         // ── Schedule: zone-map pruning happens here, before a morsel is
-        // ever enqueued, so pruned row groups cost the workers nothing.
-        let mut morsels: Vec<usize> = Vec::with_capacity(table.num_row_groups());
+        // ever enqueued, so pruned row groups cost the workers nothing.  A
+        // row group is `touched` when its key zone map holds a dead key.
+        let mut morsels: Vec<(usize, bool)> = Vec::with_capacity(table.num_row_groups());
+        let mut pruned_live = 0;
         for rg in 0..table.num_row_groups() {
+            let touched = self.dead_keys.is_some_and(|(key_col, dead)| {
+                let (min, max) = table.zone_map(rg, key_col);
+                dead.iter().any(|key| (min..=max).contains(key))
+            });
             if let Some((col, lo, hi)) = self.plan.filter {
                 let (zmin, zmax) = table.zone_map(rg, col);
                 if zmax < lo || zmin > hi {
                     sched_stats.row_groups_pruned += 1;
+                    // A masked scan counts a pruned row group's live rows,
+                    // a touched one's from its key chunk, read right here.
+                    pruned_live += match self.dead_keys {
+                        Some((key_col, dead)) if touched => {
+                            let keys = table.read_chunk(rg, key_col, &mut sched_stats)?;
+                            let live = keys.decode_all().into_iter().filter(|k| !dead.contains(k));
+                            live.count() as u64
+                        }
+                        Some((key_col, _)) => table.chunk_encoded(rg, key_col).len() as u64,
+                        None => 0,
+                    };
                     continue;
                 }
             }
-            morsels.push(rg);
+            morsels.push((rg, touched));
         }
+        leco_obs::counter!("scan.morsel_rows").add(pruned_live);
+        let mut merged = ScanScratch::new();
+        merged.partial.rows_scanned = pruned_live;
+        merged.stats = sched_stats;
         // Every row group pruned: the answer is already known, so open no
-        // reader and spawn no thread.
+        // reader for workers and spawn no thread.
         if morsels.is_empty() {
-            return Ok((Partial::default(), sched_stats));
+            return Ok((merged.partial, merged.stats));
         }
-        let columns = self.needed_columns();
+        let columns = self.needed_columns(None);
+        let touched_columns = self.needed_columns(self.dead_keys.map(|(key_col, _)| key_col));
         let reader = table.chunk_reader()?;
         // First worker-side I/O error; its presence makes the other workers
         // bail at their next morsel, and the scan reports it as
@@ -313,19 +350,22 @@ impl<'a> Scanner<'a> {
             parking_lot::Mutex::new(None);
 
         // ── Execute: work-stealing workers read and fold morsels into their
-        // private ScanScratch.
+        // private ScanScratch, with a morsel-local alive bitmap beside it.
         let states = pool::run_with_worker_state(
             n_threads,
             morsels.len(),
-            |_| ScanScratch::new(),
-            |scratch: &mut ScanScratch, m| {
+            |_| (ScanScratch::new(), Bitmap::default()),
+            |(scratch, alive): &mut (ScanScratch, Bitmap), m| {
                 if self.inject_panic_at == Some(m) {
                     panic!("injected scan fault at morsel {m}");
                 }
                 if worker_io_error.lock().is_some() {
                     return; // scan already failing: drain cheaply
                 }
-                if let Err(e) = self.execute_morsel(&reader, morsels[m], &columns, scratch) {
+                let (rg, touched) = morsels[m];
+                let columns = if touched { &touched_columns } else { &columns };
+                let alive = touched.then_some(alive);
+                if let Err(e) = self.execute_morsel(&reader, rg, columns, alive, scratch) {
                     let mut slot = worker_io_error.lock();
                     if slot.is_none() {
                         *slot = Some(e);
@@ -339,22 +379,22 @@ impl<'a> Scanner<'a> {
 
         // ── Merge: integer partials fold exactly as sorted runs; the final
         // division happens once, so results are independent of the split.
-        let mut merged = ScanScratch::new();
-        for state in states {
+        for (state, _) in states {
             merged.merge(state);
         }
-        merged.stats.merge(&sched_stats);
         Ok((merged.partial, merged.stats))
     }
 
     /// One morsel: read its chunks, then run the per-chunk kernels against
-    /// the worker's scratch.  A failed chunk read (truncated or corrupt
-    /// file) propagates up and surfaces as [`ScanError::Io`].
+    /// the worker's scratch; a touched morsel gets `alive` to mask its dead
+    /// rows with.  A failed chunk read (truncated or corrupt file)
+    /// propagates up and surfaces as [`ScanError::Io`].
     fn execute_morsel(
         &self,
         reader: &ChunkReader<'_>,
         rg: usize,
         columns: &[usize],
+        alive: Option<&mut Bitmap>,
         scratch: &mut ScanScratch,
     ) -> std::io::Result<()> {
         let _morsel_span = leco_obs::span("scan.morsel");
@@ -372,10 +412,25 @@ impl<'a> Scanner<'a> {
 
         let (row_start, row_end) = self.table.row_group_range(rg);
         let rows = row_end - row_start;
-        scratch.partial.morsels += 1;
-        scratch.partial.rows_scanned += rows as u64;
-        leco_obs::counter!("scan.morsel_rows").add(rows as u64);
         let cpu = Stopwatch::start();
+        // A touched morsel scans only its live rows: `alive` marks them.
+        let alive = alive.zip(self.dead_keys).map(|(alive, (key_col, dead))| {
+            scratch.decode.clear();
+            self.table
+                .chunk_encoded(rg, key_col)
+                .decode_into(&mut scratch.decode);
+            alive.reset(rows);
+            for (row, key) in scratch.decode.iter().enumerate() {
+                if !dead.contains(key) {
+                    alive.set(row);
+                }
+            }
+            &*alive
+        });
+        let scanned = alive.map_or(rows, Bitmap::count_ones) as u64;
+        scratch.partial.morsels += 1;
+        scratch.partial.rows_scanned += scanned;
+        leco_obs::counter!("scan.morsel_rows").add(scanned);
 
         // Selection: morsel-local bitmap, reset in place (no allocation).
         let filter_span = leco_obs::span("scan.morsel.filter");
@@ -422,6 +477,9 @@ impl<'a> Scanner<'a> {
                 }
             }
             None => scratch.sel.set_range(0, rows),
+        }
+        if let Some(alive) = alive {
+            scratch.sel.and(alive);
         }
         drop(filter_span);
         let morsel_selected = scratch.sel.count_ones() as u64;

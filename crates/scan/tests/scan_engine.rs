@@ -10,7 +10,7 @@ use leco_ingest::{IngestConfig, LiveTable};
 use leco_scan::{ScanError, ScanSpec, Scanner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -675,4 +675,77 @@ fn unfiltered_count_scans_every_row() {
         assert_eq!(r.sum, 0);
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn without_keys_matches_an_integer_fold_over_the_live_rows() {
+    const TS: usize = 0;
+    const ID: usize = 1;
+    const VAL: usize = 3;
+    // `ts` is the key: sorted like a flushed live-table file, so a dead key
+    // lives in one row group (1 is `ts` 17 000..=32 998).
+    let rg1: HashSet<u64> = (17_000..33_000).step_by(2).collect();
+    let dead_sets: [(&str, HashSet<u64>); 5] = [
+        ("empty", HashSet::new()),
+        // Below, between two row groups' zone maps, and above every one.
+        (
+            "outside every zone map",
+            HashSet::from([5, 16_999, u64::MAX]),
+        ),
+        // Odd keys: inside row groups 0 and 1's zone maps, in no chunk.
+        ("inside a zone map, absent", HashSet::from([1_001, 20_001])),
+        ("every row of row group 1", rg1),
+        ("every row", (1_000..61_000).step_by(2).collect()),
+    ];
+    // Unfiltered, keeping row group 1, pruning it, and pruning every row
+    // group.
+    let filters = [
+        None,
+        Some((TS, 17_000, 40_000)),
+        Some((TS, 40_000, 50_000)),
+        Some((TS, 100_000, u64::MAX)),
+    ];
+    for (k, encoding) in ALL_ENCODINGS.into_iter().enumerate() {
+        let (table, columns, path) = write_query_table(encoding, &format!("dead-{k}"));
+        for (name, dead) in &dead_sets {
+            let live: Vec<usize> = (0..columns[TS].len())
+                .filter(|&i| !dead.contains(&columns[TS][i]))
+                .collect();
+            let live_col = |col: usize| live.iter().map(|&i| columns[col][i]).collect::<Vec<_>>();
+            let (live_ts, live_ids, live_vals) = (live_col(TS), live_col(ID), live_col(VAL));
+            for filter in filters {
+                let (fc, lo, hi) = filter.unwrap_or((TS, 0, u64::MAX));
+                assert_eq!(fc, TS);
+                let (selected, sum, groups) = fold_query(&live_ts, lo, hi, &live_ids, &live_vals);
+                let scan = |masked: bool| {
+                    let scanner = match filter {
+                        Some((fc, lo, hi)) => Scanner::new(&table).filter_col(fc, lo, hi),
+                        None => Scanner::new(&table),
+                    };
+                    if masked {
+                        scanner.without_keys(TS, dead)
+                    } else {
+                        scanner
+                    }
+                };
+                for threads in [1, 2, 4] {
+                    let ctx =
+                        format!("{encoding:?} dead {name} filter {filter:?} threads={threads}");
+                    let unmasked = scan(false).run(threads).unwrap();
+                    let c = scan(true).count().run(threads).unwrap();
+                    let s = scan(true).sum_col(VAL).run(threads).unwrap();
+                    let g = scan(true).group_by_avg_cols(ID, VAL).run(threads).unwrap();
+                    for r in [&c, &s, &g] {
+                        assert_eq!(r.rows_selected, selected, "{ctx}");
+                        assert_eq!(r.rows_scanned, live.len() as u64, "{ctx}");
+                        assert_eq!(r.morsels, unmasked.morsels, "{ctx}");
+                    }
+                    assert_eq!(s.sum, sum, "{ctx}");
+                    assert_eq!(g.group_partials, groups, "{ctx}");
+                    assert_groups_identical(&g.groups, &fold_avgs(&groups), &ctx);
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
