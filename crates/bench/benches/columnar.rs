@@ -1,9 +1,14 @@
 //! Criterion bench backing Figures 18–21: the columnar engine's filter,
-//! group-by and bitmap-aggregation kernels per encoding, plus the
-//! morsel-driven parallel scan engine at 1/2/4/8 workers.
+//! group-by and bitmap-aggregation kernels per encoding, the `SUM` chunk
+//! kernel over one LeCo chunk, plus the morsel-driven parallel scan engine
+//! at 1/2/4/8 workers.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use leco_columnar::{exec, Bitmap, Encoding, QueryStats, TableFile, TableFileOptions};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use leco_columnar::exec::sum_selected_chunk;
+use leco_columnar::{
+    exec, Bitmap, EncodedColumn, Encoding, QueryStats, TableFile, TableFileOptions,
+};
+use leco_core::CompressedColumn;
 use leco_datasets::tables::{sensor_table, SensorDistribution};
 use leco_scan::Scanner;
 
@@ -77,6 +82,51 @@ fn bench_bitmap_sum(c: &mut Criterion) {
     group.finish();
 }
 
+/// `sum_selected_chunk` over one 100 K-row LeCo-fix chunk of the sensor
+/// table's `val` column (10 000-row partitions): a full selection with each
+/// partition's sum memoised (warm) and with the chunk re-parsed from its
+/// bytes before every call (cold, so the call derives the memo), a
+/// contiguous 6 000-row window across a partition edge, and the
+/// decode-then-fold that a full selection cost before the memo.
+fn bench_sum_selected_chunk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sum_selected_chunk");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(ROWS as u64));
+    let t = sensor_table(ROWS, SensorDistribution::Correlated, 42);
+    let chunk = EncodedColumn::encode(&t.val, Encoding::Leco);
+    let EncodedColumn::Leco(column) = &chunk else {
+        unreachable!("Encoding::Leco encodes a LeCo chunk")
+    };
+    let bytes = column.to_bytes();
+    let mut full = Bitmap::new(ROWS);
+    full.set_range(0, ROWS);
+    let mut window = Bitmap::new(ROWS);
+    window.set_range(47_000, 53_000);
+    let mut buf = Vec::new();
+    sum_selected_chunk(&chunk, &full, 0, &mut buf);
+    group.bench_function("full_warm", |b| {
+        b.iter(|| sum_selected_chunk(&chunk, &full, 0, &mut buf))
+    });
+    group.bench_function("full_cold", |b| {
+        b.iter_batched(
+            || EncodedColumn::Leco(CompressedColumn::from_bytes(&bytes).expect("own bytes")),
+            |cold| sum_selected_chunk(&cold, &full, 0, &mut buf),
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("window_6000", |b| {
+        b.iter(|| sum_selected_chunk(&chunk, &window, 0, &mut buf))
+    });
+    group.bench_function("decode_fold", |b| {
+        b.iter(|| {
+            buf.clear();
+            chunk.decode_into(&mut buf);
+            buf.iter().map(|&v| v as u128).sum::<u128>()
+        })
+    });
+    group.finish();
+}
+
 fn bench_parallel_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("scan_parallel_filter_groupby");
     group.sample_size(10);
@@ -103,6 +153,7 @@ criterion_group!(
     benches,
     bench_filter_groupby,
     bench_bitmap_sum,
+    bench_sum_selected_chunk,
     bench_parallel_scan
 );
 criterion_main!(benches);

@@ -7,9 +7,12 @@
 //! bulk-decodes the chunks and walks the selection run by run over the
 //! decoded buffers, and `GROUP BY` adds those runs into a dense per-chunk
 //! table when the chunk's zone map says its ids span at most half its rows.
-//! Every kernel caller accumulates a [`QueryStats`] separating I/O time
-//! (reading chunk bytes from the data file) from CPU time (decoding +
-//! compute), which is the breakdown plotted in Figures 18, 19 and 21.
+//! `SUM` over a LeCo chunk makes that choice per partition instead, and
+//! takes a fully selected partition's sum from the column's memo without
+//! decoding it.  Every kernel caller accumulates a [`QueryStats`]
+//! separating I/O time (reading chunk bytes from the data file) from CPU
+//! time (decoding + compute), which is the breakdown plotted in Figures 18,
+//! 19 and 21.
 //!
 //! The module is layered so a parallel engine can drive it:
 //!
@@ -35,6 +38,7 @@
 use crate::bitmap::Bitmap;
 use crate::encoding::EncodedColumn;
 use crate::file::TableFile;
+use leco_core::CompressedColumn;
 use leco_obs::Stopwatch;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -391,9 +395,12 @@ pub fn filter_chunk_pushdown(
 }
 
 /// A selection denser than one row in `DENSE_DIVISOR` makes the sequential
-/// word-parallel decode of the whole row group cheaper than per-position
-/// random access (bulk decode amortises to a few cycles per row, while a
-/// point access costs a model inference plus a positioned bit extract).
+/// word-parallel decode cheaper than per-position random access (bulk
+/// decode amortises to a few cycles per row, while a point access costs a
+/// model inference plus a positioned bit extract). The `GROUP BY` kernel and
+/// `SUM` over a non-LeCo chunk test it over the whole row group and decode
+/// the whole row group; `SUM` over a LeCo chunk tests it per partition and
+/// decodes only that partition.
 const DENSE_DIVISOR: usize = 16;
 
 /// A dense `GROUP BY` chunk whose ids span at most `rows / TABLE_DIVISOR`
@@ -621,17 +628,34 @@ pub fn sum_selected(
 /// Sum-aggregation over one row group's chunk: adds up the values at the
 /// selection positions `[base, base + chunk.len())` of `sel`.
 ///
-/// Stateless per-morsel kernel with the same dense/sparse split as
-/// [`group_by_avg_chunk`]: a sparse selection random-accesses each
-/// qualifying position; a dense one bulk-decodes into `buf` (reusable
-/// scratch) and sums the decoded slice of every run of the selection
-/// ([`Bitmap::for_each_run_in`]).
+/// Stateless per-morsel kernel. A LeCo chunk is summed partition by
+/// partition, each partition taking its own route from the rows of it that
+/// `sel` selects:
+///
+/// * **none**: skipped;
+/// * **all**: its exact sum from the column's memo
+///   ([`CompressedColumn::partition_sums`], derived in one decode pass on
+///   the first call that needs it), with no decode;
+/// * **dense** (at least one row in `DENSE_DIVISOR`): that partition alone
+///   is decoded into `buf` (reusable scratch) and the decoded slice of every
+///   run of the selection ([`Bitmap::for_each_run_in`]) is added;
+/// * **sparse**: each selected row is random-accessed.
+///
+/// Every other encoding takes the same dense/sparse split over the whole
+/// chunk: a sparse selection random-accesses each qualifying position; a
+/// dense one bulk-decodes the chunk into `buf` and adds the decoded slice
+/// of every run. Every route adds the same values into one `u128`, so the
+/// result is the same integer whichever route ran and whatever state the
+/// memo is in.
 pub fn sum_selected_chunk(
     chunk: &EncodedColumn,
     sel: &Bitmap,
     base: usize,
     buf: &mut Vec<u64>,
 ) -> u128 {
+    if let EncodedColumn::Leco(column) = chunk {
+        return sum_selected_leco(column, sel, base, buf);
+    }
     let rows = chunk.len();
     let selected = sel.count_ones_in(base, base + rows);
     if selected == 0 {
@@ -645,9 +669,45 @@ pub fn sum_selected_chunk(
     }
     buf.clear();
     chunk.decode_into(buf);
+    sum_runs(buf, sel, base, base + rows)
+}
+
+/// [`sum_selected_chunk`] over a LeCo chunk: one route per partition.
+fn sum_selected_leco(
+    column: &CompressedColumn,
+    sel: &Bitmap,
+    base: usize,
+    buf: &mut Vec<u64>,
+) -> u128 {
     let mut total: u128 = 0;
-    sel.for_each_run_in(base, base + rows, |from, to| {
-        total += buf[from - base..to - base]
+    for (k, (start, len)) in column.partition_spans().enumerate() {
+        let (from, to) = (base + start, base + start + len);
+        let selected = sel.count_ones_in(from, to);
+        if selected == 0 {
+            continue;
+        }
+        if selected == len {
+            total += column.partition_sums()[k];
+        } else if selected * DENSE_DIVISOR >= len {
+            buf.clear();
+            column.decode_range_into(start, start + len, buf);
+            total += sum_runs(buf, sel, from, to);
+        } else {
+            total += sel
+                .iter_ones_in(from, to)
+                .map(|pos| column.get(pos - base) as u128)
+                .sum::<u128>();
+        }
+    }
+    total
+}
+
+/// Sum of `decoded[i - from]` over every selected position `i` of `sel` in
+/// `[from, to)`, where `decoded` holds the values of those positions.
+fn sum_runs(decoded: &[u64], sel: &Bitmap, from: usize, to: usize) -> u128 {
+    let mut total: u128 = 0;
+    sel.for_each_run_in(from, to, |a, b| {
+        total += decoded[a - from..b - from]
             .iter()
             .map(|&v| v as u128)
             .sum::<u128>();

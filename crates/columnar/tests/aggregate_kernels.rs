@@ -18,7 +18,12 @@
 //! bits outside the chunk that the kernels must ignore; id spans just
 //! below, at and above the dense bound; runs of equal ids inside and across
 //! selection runs; and ids and values near `u64::MAX`, so that a group's sum
-//! passes 2^64. The property tests honour
+//! passes 2^64. Selections cut at the partition edges (one whole
+//! partition, a run from a partition's first row to a later one's last, a
+//! partition less its first or last row, every partition but one, one dense
+//! partition in a sparse chunk) run each LeCo partition through every `SUM`
+//! route, and `sum_selected_chunk` runs twice per chunk: with the LeCo
+//! partition-sum memo cold, then warm. The property tests honour
 //! `PROPTEST_CASES` (CI: 2048).
 
 use leco_codecs::{DeltaCodec, ForCodec, OpDict};
@@ -107,10 +112,14 @@ fn check(ids: &[u64], vals: &[u64], sel: &Bitmap, base: usize, label: &str) {
             vals,
             "{label} {name}: val round trip"
         );
-        // Stale scratch contents must not leak into the result.
+        // Stale scratch contents must not leak into the result. The first
+        // call finds a fresh chunk (a LeCo chunk's partition-sum memo cold),
+        // the second one the memo the first may have filled.
         let mut buf = vec![u64::MAX; 5];
-        let got = sum_selected_chunk(&val_chunk, sel, base, &mut buf);
-        assert_eq!(got, want_sum, "{label} {name}: sum");
+        for memo in ["cold", "warm"] {
+            let got = sum_selected_chunk(&val_chunk, sel, base, &mut buf);
+            assert_eq!(got, want_sum, "{label} {name}: sum, {memo}");
+        }
 
         let mut id_buf = vec![3; 7];
         let mut val_buf = vec![u64::MAX; 9];
@@ -218,6 +227,36 @@ fn selections(rows: usize) -> Vec<(String, Pick)> {
             Box::new(move |i| i > 0 && i < rows - 1),
         ),
     ];
+    // Shapes cut at the `FRAME`-row partition edges, so a LeCo chunk's
+    // partitions take every `SUM` route: skipped, whole from the memo,
+    // decoded alone, and random-accessed.
+    let f = FRAME;
+    out.extend([
+        (
+            "one whole partition".to_string(),
+            Box::new(move |i| (f..2 * f).contains(&i)) as Pick,
+        ),
+        (
+            "first row of a partition to last row of a later one".into(),
+            Box::new(move |i| (f..4 * f).contains(&i)),
+        ),
+        (
+            "a partition less its first row".into(),
+            Box::new(move |i| (f + 1..2 * f).contains(&i)),
+        ),
+        (
+            "a partition less its last row".into(),
+            Box::new(move |i| (f..2 * f - 1).contains(&i)),
+        ),
+        (
+            "every partition but one".into(),
+            Box::new(move |i| !(f..2 * f).contains(&i)),
+        ),
+        (
+            "one dense partition in a sparse chunk".into(),
+            Box::new(move |i| i % 97 == 5 || ((2 * f..3 * f).contains(&i) && i % 3 == 0)),
+        ),
+    ]);
     // One row in `k`: 15 is dense, 17 sparse, 16 right at the threshold.
     for k in [2, 15, 16, 17, 64] {
         out.push((format!("every {k}th"), Box::new(move |i| i % k == 3)));

@@ -12,7 +12,7 @@
 use crate::advisor::RegressorSelector;
 use crate::model::{self, floor_to_i64, Model, RegressorKind, SlackBands};
 use crate::partition::{self, PartitionerKind};
-use crate::read_table::{ReadTable, Route};
+use crate::read_table::{PartitionSums, ReadTable, Route};
 use crate::regressor::{self, DeltaStats, FitContext};
 use crate::value::LecoInt;
 use crate::LecoConfig;
@@ -233,6 +233,7 @@ impl LecoCompressor {
         let (payload, payload_bits) = writer.finish();
         let mut column = CompressedColumn {
             table: ReadTable::derive(&metas, values.len(), fixed_len),
+            sums: PartitionSums::default(),
             partitions: metas,
             payload,
             payload_bits,
@@ -247,11 +248,14 @@ impl LecoCompressor {
 }
 
 /// A compressed, immutable LeCo column.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CompressedColumn {
     pub(crate) partitions: Vec<PartitionMeta>,
     /// Derived per-partition read records (never serialized).
     pub(crate) table: ReadTable,
+    /// Memo of [`Self::partition_sums`] (derived on first use, never
+    /// serialized).
+    pub(crate) sums: PartitionSums,
     pub(crate) payload: Vec<u64>,
     pub(crate) payload_bits: usize,
     pub(crate) len: usize,
@@ -262,6 +266,32 @@ pub struct CompressedColumn {
     pub(crate) value_width: usize,
     /// Exact serialized size in bytes.
     pub(crate) serialized_bytes: usize,
+}
+
+/// Equality of the encoded column: the partition-sum memo is derived from
+/// it, so a column whose memo is filled equals one whose memo is not.
+impl PartialEq for CompressedColumn {
+    fn eq(&self, other: &Self) -> bool {
+        let Self {
+            partitions,
+            table,
+            sums: _,
+            payload,
+            payload_bits,
+            len,
+            fixed_len,
+            value_width,
+            serialized_bytes,
+        } = self;
+        *partitions == other.partitions
+            && *table == other.table
+            && *payload == other.payload
+            && *payload_bits == other.payload_bits
+            && *len == other.len
+            && *fixed_len == other.fixed_len
+            && *value_width == other.value_width
+            && *serialized_bytes == other.serialized_bytes
+    }
 }
 
 impl CompressedColumn {
@@ -307,6 +337,30 @@ impl CompressedColumn {
             .entries
             .iter()
             .map(|e| (e.start as usize, e.len as usize))
+    }
+
+    /// The exact sum of every partition's values, in
+    /// [`Self::partition_spans`] order.
+    ///
+    /// Memoised: the first call decodes the whole column once, partition by
+    /// partition, and every later call (from any thread) returns the same
+    /// slice.  Nothing else fills the memo — compressing, `from_bytes` and
+    /// the other read paths do no work for it — and it is never serialized.
+    pub fn partition_sums(&self) -> &[u128] {
+        self.sums.get_or_derive(|| {
+            let mut buf = Vec::new();
+            self.table
+                .entries
+                .iter()
+                .enumerate()
+                .map(|(k, e)| {
+                    buf.clear();
+                    buf.resize(e.len as usize, 0);
+                    self.decode_segment(k, 0, &mut buf);
+                    buf.iter().map(|&v| v as u128).sum()
+                })
+                .collect()
+        })
     }
 
     /// Original value width in bytes.

@@ -28,7 +28,7 @@
 
 use crate::column::{CompressedColumn, PartitionMeta};
 use crate::model::{Model, SineTerm};
-use crate::read_table::ReadTable;
+use crate::read_table::{PartitionSums, ReadTable};
 
 const MAGIC: &[u8; 4] = b"LECO";
 const VERSION: u8 = 2;
@@ -436,6 +436,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompressedColumn, FormatError> {
     }
     let mut col = CompressedColumn {
         table: ReadTable::derive(&partitions, len, fixed_len),
+        sums: PartitionSums::default(),
         partitions,
         payload,
         payload_bits,

@@ -10,9 +10,16 @@
 //! and `filter_range_pushdown` read one 64-byte record instead of the
 //! `Model` enum.  A power-of-two [`BucketIndex`] locates the partition of a
 //! position when partitions are not all the same length.
+//!
+//! The one piece of read-side data derived on first use rather than at load
+//! is [`PartitionSums`], the memo of each partition's exact sum: deriving it
+//! decodes the whole column, which `from_bytes` and the encoder must not pay
+//! for a column that is never summed.  It is the only interior mutability in
+//! this crate, and it lives in this file.
 
 use crate::column::PartitionMeta;
 use crate::model::{floor_to_i64, linear_fits_i64, Model};
+use std::sync::OnceLock;
 
 /// How a partition's predictions are evaluated on the read paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,6 +214,20 @@ impl BucketIndex {
             }
         }
         lo
+    }
+}
+
+/// The memoised exact sum of every partition of a column, in partition
+/// order: filled once, by the first caller that needs it (concurrent first
+/// callers wait for that one fill), and never serialized.  A clone carries
+/// the memo's state with it; equality of columns ignores it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PartitionSums(OnceLock<Box<[u128]>>);
+
+impl PartitionSums {
+    /// The sums, running `derive` if no call has filled them yet.
+    pub fn get_or_derive(&self, derive: impl FnOnce() -> Box<[u128]>) -> &[u128] {
+        self.0.get_or_init(derive)
     }
 }
 

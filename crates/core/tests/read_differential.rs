@@ -18,6 +18,12 @@
 //! at what the corpus does not contain: predictions on both sides of the
 //! reconstruct kernel's 2^51 guard, columns touching 0 and `u64::MAX`
 //! (clamped envelopes), one-value partitions and skewed length mixes.
+//!
+//! `partition_sums` is held to a per-partition fold over `decode_all` on
+//! every column above (constant, linear and model routes; sums past 2^64
+//! next to `u64::MAX`), cold and then warm, and on one-value and empty
+//! columns.  Four threads racing on a column's first call must see the same
+//! slice, and a filled memo never makes two equal columns unequal.
 
 use leco_core::model::{reconstruct_linear_span, reconstruct_linear_span_reference};
 use leco_core::{
@@ -120,11 +126,37 @@ fn predicates(values: &[u64], state: &mut u64) -> Vec<(u64, u64)> {
     out
 }
 
+/// The exact sum of each partition of `col`, folded over `decode_all`.
+fn folded_partition_sums(col: &CompressedColumn) -> Vec<u128> {
+    let values = col.decode_all();
+    col.partition_spans()
+        .map(|(start, len)| values[start..start + len].iter().map(|&v| v as u128).sum())
+        .collect()
+}
+
+/// `partition_sums` equals the fold, on its first (memo-filling) call and on
+/// a second call that reads the memo.
+fn assert_partition_sums_match(col: &CompressedColumn, ctx: &str) {
+    let want = folded_partition_sums(col);
+    assert_eq!(
+        col.partition_sums(),
+        &want[..],
+        "{ctx}: cold partition sums"
+    );
+    assert_eq!(
+        col.partition_sums(),
+        &want[..],
+        "{ctx}: warm partition sums"
+    );
+}
+
 /// Hold all three read paths of `col` to their reference routes (and to the
-/// raw `values`) — every index, random spans, every predicate.
+/// raw `values`) — every index, random spans, every predicate — and its
+/// partition sums to the fold.
 fn assert_reads_match(col: &CompressedColumn, values: &[u64], ctx: &str) {
     let n = values.len();
     assert_eq!(col.len(), n, "{ctx}");
+    assert_partition_sums_match(col, ctx);
     for (i, &want) in values.iter().enumerate() {
         let (got, reference) = (col.get(i), col.get_reference(i));
         assert_eq!(got, reference, "{ctx}: get({i})");
@@ -185,6 +217,75 @@ fn reads_equal_the_reference_routes_on_the_corpus() {
             let ctx = format!("{dataset:?} n={n} seed={seed} {name}");
             assert_column_reads_match(&config, &values, &ctx);
         }
+    }
+}
+
+#[test]
+fn partition_sums_pass_two_to_the_64_and_cover_tiny_columns() {
+    let near_max: Vec<u64> = (0..5_000u64).map(|i| u64::MAX - i % 7).collect();
+    let columns: [(&str, Vec<u64>); 4] = [
+        ("near u64::MAX", near_max),
+        ("one value", vec![42]),
+        ("one value at u64::MAX", vec![u64::MAX]),
+        ("empty", vec![]),
+    ];
+    for (name, values) in &columns {
+        for (config_name, config) in configs() {
+            let ctx = format!("{name} {config_name}");
+            let col = LecoCompressor::new(config).compress(values);
+            assert_partition_sums_match(&col, &ctx);
+            let total: u128 = col.partition_sums().iter().sum();
+            assert_eq!(
+                total,
+                values.iter().map(|&v| v as u128).sum::<u128>(),
+                "{ctx}: total"
+            );
+            if values.is_empty() {
+                assert!(col.partition_sums().is_empty(), "{ctx}");
+            }
+        }
+    }
+    // A single partition of the near-`u64::MAX` column really passes 2^64.
+    let col = LecoCompressor::new(LecoConfig::leco_fix()).compress(&columns[0].1);
+    assert!(col.partition_sums()[0] > u64::MAX as u128 * 1_000);
+}
+
+#[test]
+fn partition_sums_race_to_one_slice_and_never_change_equality() {
+    let values = generate(IntDataset::Ml, 65_536, 2);
+    for (name, config) in configs() {
+        let col = LecoCompressor::new(config).compress(&values);
+        let want = folded_partition_sums(&col);
+        // Four threads released together on the cold memo.
+        let barrier = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<u128>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        col.partition_sums().to_vec()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("partition_sums thread"))
+                .collect()
+        });
+        for got in &seen {
+            assert_eq!(got, &want, "{name}: raced partition sums");
+        }
+
+        // Equality ignores the memo, filled on either side or both.
+        let cold = CompressedColumn::from_bytes(&col.to_bytes()).expect("own bytes load");
+        assert_eq!(cold, col, "{name}: from_bytes, one memo filled");
+        assert_eq!(col, cold, "{name}: from_bytes, one memo filled");
+        let cold_clone = cold.clone();
+        assert_eq!(cold.partition_sums(), &want[..], "{name}");
+        assert_eq!(cold_clone, cold, "{name}: clone, one memo filled");
+        assert_eq!(cold, cold_clone, "{name}: clone, one memo filled");
+        assert_eq!(cold.clone(), cold, "{name}: clone, both memos filled");
+        assert_eq!(cold.to_bytes(), col.to_bytes(), "{name}: bytes unchanged");
     }
 }
 

@@ -3,7 +3,7 @@
 //! invariance on synthetic and Zipf tables, clean poisoning on worker panic,
 //! and provable zone-map pruning via the `QueryStats` chunk counters.
 
-use leco_columnar::{Encoding, TableFile, TableFileOptions};
+use leco_columnar::{Encoding, QueryStats, TableFile, TableFileOptions};
 use leco_datasets::tables::{sensor_table, SensorDistribution};
 use leco_datasets::zipf::Zipf;
 use leco_ingest::{IngestConfig, LiveTable};
@@ -677,6 +677,90 @@ fn unfiltered_count_scans_every_row() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The `QueryStats` fields that count work, not time: equal on every run of
+/// one query over one file.
+fn exact_stats(st: &QueryStats) -> [u64; 6] {
+    [
+        st.io_bytes,
+        st.chunks_read,
+        st.row_groups_pruned,
+        st.rows_skipped_by_model,
+        st.boundary_rows_decoded,
+        st.rows_decoded_full,
+    ]
+}
+
+/// `SUM` over LeCo files freshly opened from disk, so every query starts
+/// with each chunk's partition-sum memo cold: at 1, 2 and 4 workers, then
+/// warm, then from two scans released together onto one cold file. The
+/// `Partial` and the exact `QueryStats` fields never change, and the sum
+/// is the integer fold (`Random` readings sum past 2^64).
+#[test]
+fn sum_is_identical_with_the_partition_sum_memo_cold_warm_and_raced() {
+    const TS: usize = 0;
+    const VAL: usize = 2;
+    for dist in [SensorDistribution::Correlated, SensorDistribution::Random] {
+        let t = sensor_table(60_000, dist, 7);
+        for encoding in [Encoding::Leco, Encoding::LecoVar] {
+            let name = format!("memo-{dist:?}-{encoding:?}");
+            let (table, path) = write_sensor(60_000, dist, encoding, &name);
+            // Unfiltered; a `ts` window over whole and cut row groups; a
+            // dense `val` filter.
+            let filters = [
+                None,
+                Some((TS, table.zone_map(1, TS).0 + 1, table.zone_map(4, TS).1)),
+                Some((VAL, 0, u64::MAX / 3)),
+            ];
+            drop(table);
+            for filter in filters {
+                let (fc, lo, hi) = filter.unwrap_or((TS, 0, u64::MAX));
+                let fold = fold_query([&t.ts, &t.id, &t.val][fc], lo, hi, &t.id, &t.val);
+                fn scan(table: &TableFile, filter: Option<(usize, u64, u64)>) -> Scanner<'_> {
+                    match filter {
+                        Some((fc, lo, hi)) => Scanner::new(table).filter_col(fc, lo, hi),
+                        None => Scanner::new(table),
+                    }
+                    .sum_col(VAL)
+                }
+                let mut reference = None;
+                for threads in [1, 2, 4] {
+                    let ctx = format!("{name} filter {filter:?} threads={threads}");
+                    let table = TableFile::open(&path).unwrap();
+                    for memo in ["cold", "warm"] {
+                        let (partial, stats) = scan(&table, filter).run_partial(threads).unwrap();
+                        assert_eq!((partial.rows_selected, partial.sum), (fold.0, fold.1));
+                        let got = (partial, exact_stats(&stats));
+                        let want = reference.get_or_insert_with(|| got.clone());
+                        assert_eq!(&got, want, "{ctx} {memo}");
+                    }
+                }
+                let reference = reference.expect("at least one run");
+                let table = TableFile::open(&path).unwrap();
+                let barrier = std::sync::Barrier::new(2);
+                std::thread::scope(|s| {
+                    let runs: Vec<_> = (0..2)
+                        .map(|_| {
+                            s.spawn(|| {
+                                barrier.wait();
+                                scan(&table, filter).run_partial(2).unwrap()
+                            })
+                        })
+                        .collect();
+                    for run in runs {
+                        let (partial, stats) = run.join().expect("scan thread");
+                        assert_eq!(
+                            (partial, exact_stats(&stats)),
+                            reference,
+                            "{name} filter {filter:?} raced"
+                        );
+                    }
+                });
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
 #[test]
 fn without_keys_matches_an_integer_fold_over_the_live_rows() {
     const TS: usize = 0;
@@ -685,7 +769,7 @@ fn without_keys_matches_an_integer_fold_over_the_live_rows() {
     // `ts` is the key: sorted like a flushed live-table file, so a dead key
     // lives in one row group (1 is `ts` 17 000..=32 998).
     let rg1: HashSet<u64> = (17_000..33_000).step_by(2).collect();
-    let dead_sets: [(&str, HashSet<u64>); 5] = [
+    let dead_sets: [(&str, HashSet<u64>); 6] = [
         ("empty", HashSet::new()),
         // Below, between two row groups' zone maps, and above every one.
         (
@@ -694,6 +778,12 @@ fn without_keys_matches_an_integer_fold_over_the_live_rows() {
         ),
         // Odd keys: inside row groups 0 and 1's zone maps, in no chunk.
         ("inside a zone map, absent", HashSet::from([1_001, 20_001])),
+        // Two rows inside one LeCo partition of row group 1: that partition
+        // is summed by decoding it, not from its memoised sum.
+        (
+            "two rows inside row group 1",
+            HashSet::from([17_002, 25_000]),
+        ),
         ("every row of row group 1", rg1),
         ("every row", (1_000..61_000).step_by(2).collect()),
     ];
