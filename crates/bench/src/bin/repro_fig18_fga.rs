@@ -35,7 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "rows selected",
             "groups",
         ]);
-        // Write one file per encoding.
+        // Write one file per encoding. Every query runs on a fresh handle on
+        // its file, opened before the scan's clock starts, so that it decodes
+        // rather than reads the group-run memos an earlier query filled.
+        let names = ["ts", "id", "val"];
+        let columns = [t.ts.clone(), t.id.clone(), t.val.clone()];
         let mut files = Vec::new();
         for enc in ENCODINGS {
             let mut path = std::env::temp_dir();
@@ -45,17 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 enc,
                 std::process::id()
             ));
-            let file = TableFile::write(
-                &path,
-                &["ts", "id", "val"],
-                &[t.ts.clone(), t.id.clone(), t.val.clone()],
-                TableFileOptions {
-                    encoding: enc,
-                    row_group_size: 100_000,
-                    ..Default::default()
-                },
-            )?;
-            files.push((enc, file, path));
+            let options = TableFileOptions {
+                encoding: enc,
+                row_group_size: 100_000,
+                ..Default::default()
+            };
+            TableFile::write(&path, &names, &columns, options)?;
+            files.push((enc, options, path));
         }
         let n = t.ts.len();
         for selectivity in SELECTIVITIES {
@@ -66,8 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let wanted = (selectivity * n as f64).ceil() as usize;
             let last = (first + wanted - 1).min(n - 1);
             let (lo, hi) = (t.ts[first], t.ts[last]);
-            for (enc, file, _) in &files {
-                let result = Scanner::new(file)
+            for (enc, options, path) in &files {
+                let file = leco_bench::fresh_table(path, &names, &columns, *options)?;
+                let result = Scanner::new(&file)
                     .filter_col(0, lo, hi)
                     .sorted_filter(true)
                     .group_by_avg_cols(1, 2)

@@ -44,6 +44,7 @@ pub mod measure;
 pub mod report;
 pub mod scheme;
 
+use leco_columnar::{TableFile, TableFileOptions};
 pub use measure::{measure_scheme, Measurement};
 pub use report::{BenchReport, Json};
 pub use scheme::{encode, EncodedInts, Scheme};
@@ -63,4 +64,23 @@ pub fn bench_size() -> usize {
 /// experiments (quarter of [`bench_size`], at least 100k).
 pub fn small_bench_size() -> usize {
     (bench_size() / 4).max(100_000)
+}
+
+/// A fresh handle on the table file at `path`, its `GROUP BY` group-run
+/// memos all empty, so that a timed query decodes its chunks as a first
+/// query does instead of reading memos an earlier query filled. A file
+/// whose encoding can be reopened ([`TableFile::open`]) is reopened; any
+/// other is written again from `columns`, which must be the data it holds.
+pub fn fresh_table(
+    path: &std::path::Path,
+    names: &[&str],
+    columns: &[Vec<u64>],
+    options: TableFileOptions,
+) -> std::io::Result<TableFile> {
+    match TableFile::open(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
+            TableFile::write(path, names, columns, options)
+        }
+        opened => opened,
+    }
 }

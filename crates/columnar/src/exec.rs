@@ -9,17 +9,22 @@
 //! table when the chunk's zone map says its ids span at most half its rows.
 //! `SUM` over a LeCo chunk makes that choice per partition instead, and
 //! takes a fully selected partition's sum from the column's memo without
-//! decoding it.  Every kernel caller accumulates a [`QueryStats`]
-//! separating I/O time (reading chunk bytes from the data file) from CPU
-//! time (decoding + compute), which is the breakdown plotted in Figures 18,
-//! 19 and 21.
+//! decoding it. The scan's `GROUP BY` ([`group_by_avg_chunk_memo`]) does
+//! the same per 10 000-row block: a fully selected block adds its groups
+//! from the row group's group-run memo ([`crate::memo`]), and only the
+//! blocks a selection cuts are decoded.  Every kernel caller accumulates a
+//! [`QueryStats`] separating I/O time (reading chunk bytes from the data
+//! file) from CPU time (decoding + compute), which is the breakdown plotted
+//! in Figures 18, 19 and 21.
 //!
 //! The module is layered so a parallel engine can drive it:
 //!
 //! * **stateless per-chunk kernels** ([`filter_chunk`],
-//!   [`group_by_avg_chunk_zoned`], [`sum_selected_chunk`]) operate on one
-//!   row group's encoded chunks plus explicitly passed scratch; they hold no
-//!   references to the file and can run on any thread. The `leco-scan`
+//!   [`group_by_avg_chunk_zoned`], [`group_by_avg_chunk_memo`],
+//!   [`sum_selected_chunk`]) operate on one row group's encoded chunks plus
+//!   explicitly passed scratch (and, for the memo kernel, the row group's
+//!   memo cell); they hold no references to the file and can run on any
+//!   thread. The `leco-scan`
 //!   crate's morsel loop composes them from a worker pool, and every
 //!   filter → aggregate query over a file runs there,
 //! * **[`ScanScratch`]** bundles the per-worker mutable state the kernels
@@ -38,6 +43,7 @@
 use crate::bitmap::Bitmap;
 use crate::encoding::EncodedColumn;
 use crate::file::TableFile;
+use crate::memo::{GroupRunMemo, GroupRuns};
 use leco_core::CompressedColumn;
 use leco_obs::Stopwatch;
 use std::cmp::Ordering;
@@ -398,9 +404,12 @@ pub fn filter_chunk_pushdown(
 /// word-parallel decode cheaper than per-position random access (bulk
 /// decode amortises to a few cycles per row, while a point access costs a
 /// model inference plus a positioned bit extract). The `GROUP BY` kernel and
-/// `SUM` over a non-LeCo chunk test it over the whole row group and decode
-/// the whole row group; `SUM` over a LeCo chunk tests it per partition and
-/// decodes only that partition.
+/// `SUM` over a non-LeCo chunk test it over the whole row group. A dense
+/// `GROUP BY` then decodes the whole row group, unless it runs with a
+/// group-run memo and selects a whole block: it then reads each fully
+/// selected block's groups from the memo and decodes only the blocks it
+/// cuts. `SUM` over a LeCo chunk tests it per partition and decodes only
+/// that partition.
 const DENSE_DIVISOR: usize = 16;
 
 /// A dense `GROUP BY` chunk whose ids span at most `rows / TABLE_DIVISOR`
@@ -436,6 +445,10 @@ const TABLE_DIVISOR: usize = 2;
 /// A run that starts after `groups` ends is appended; otherwise it is
 /// merged in one pass. Nothing is hashed, and every route adds up the same
 /// exact `(u128 sum, u64 count)` integers.
+///
+/// This kernel always decodes a dense chunk whole; the scan engine runs
+/// [`group_by_avg_chunk_memo`], which adds the memo route and returns the
+/// same integers, so this one is its oracle.
 pub fn group_by_avg_chunk_zoned(
     ids: &EncodedColumn,
     vals: &EncodedColumn,
@@ -445,7 +458,50 @@ pub fn group_by_avg_chunk_zoned(
     scratch: &mut GroupScratch,
     groups: &mut Vec<Group>,
 ) {
-    group_chunk(ids, vals, Some(id_zone), sel, base, scratch, groups);
+    group_chunk(ids, vals, Some(id_zone), None, sel, base, scratch, groups);
+}
+
+/// [`group_by_avg_chunk_zoned`] with the row group's group-run memo `memo`
+/// ([`TableFile::group_runs`]): the kernel a scan runs.
+///
+/// A dense selection that selects every row of at least one block of
+/// `memo.block_len()` rows takes the **memo route**, block by block:
+///
+/// * a block with no selected row is skipped;
+/// * a fully selected block adds its exact run from the memo, with no
+///   decode, into the same dense table or exact route as decoded pieces;
+/// * a cut block is decoded alone: a LeCo chunk decodes only the block's
+///   rows ([`CompressedColumn::decode_range_into`]), any other encoding
+///   decodes its chunk at most once per call and slices it.
+///
+/// An empty memo is filled first, from the whole-chunk decode the dense
+/// route does anyway, so the cold call decodes each chunk once; its cut
+/// blocks then read that decode. A declined memo (a block with more than
+/// one group per 8 of its rows), a sparse selection and a dense one that
+/// selects no whole block take [`group_by_avg_chunk_zoned`]'s routes and
+/// leave the memo untouched. Every route adds the same integers, so the
+/// result does not depend on the route or on the memo's state.
+#[allow(clippy::too_many_arguments)]
+pub fn group_by_avg_chunk_memo(
+    ids: &EncodedColumn,
+    vals: &EncodedColumn,
+    id_zone: (u64, u64),
+    memo: &GroupRunMemo,
+    sel: &Bitmap,
+    base: usize,
+    scratch: &mut GroupScratch,
+    groups: &mut Vec<Group>,
+) {
+    group_chunk(
+        ids,
+        vals,
+        Some(id_zone),
+        Some(memo),
+        sel,
+        base,
+        scratch,
+        groups,
+    );
 }
 
 /// [`group_by_avg_chunk_zoned`] for a caller without the zone map: the
@@ -466,7 +522,7 @@ pub fn group_by_avg_chunk(
         ..GroupScratch::default()
     };
     let mut run = Vec::new();
-    group_chunk(ids, vals, None, sel, base, &mut scratch, &mut run);
+    group_chunk(ids, vals, None, None, sel, base, &mut scratch, &mut run);
     for (id, sum, count) in run {
         let entry = groups.entry(id).or_insert((0, 0));
         entry.0 += sum;
@@ -477,11 +533,13 @@ pub fn group_by_avg_chunk(
 }
 
 /// The `GROUP BY` chunk kernel; `id_zone` `None` folds the bounds from the
-/// decoded ids.
+/// decoded ids, and `memo` `None` never takes the memo route.
+#[allow(clippy::too_many_arguments)]
 fn group_chunk(
     ids: &EncodedColumn,
     vals: &EncodedColumn,
     id_zone: Option<(u64, u64)>,
+    memo: Option<&GroupRunMemo>,
     sel: &Bitmap,
     base: usize,
     scratch: &mut GroupScratch,
@@ -509,16 +567,35 @@ fn group_chunk(
         merge_run(groups, run, spare);
         return;
     }
-    id_buf.clear();
-    val_buf.clear();
-    ids.decode_into(id_buf);
-    vals.decode_into(val_buf);
-    let (id_buf, val_buf) = (&id_buf[..], &val_buf[..]);
+    let mut source = Source {
+        ids,
+        vals,
+        id_buf,
+        val_buf,
+        whole: false,
+        runs: None,
+    };
     let (min, max) = id_zone.unwrap_or_else(|| {
-        id_buf
+        source.decode_whole();
+        source
+            .id_buf
             .iter()
             .fold((u64::MAX, 0), |(lo, hi), &id| (lo.min(id), hi.max(id)))
     });
+    if let Some(memo) = memo.filter(|m| selects_a_block(sel, base, rows, m.block_len())) {
+        let runs = match memo.get() {
+            Some(runs) => runs,
+            None => {
+                source.decode_whole();
+                let (ids, vals) = (&source.id_buf[..], &source.val_buf[..]);
+                memo.get_or_derive(|block| derive_runs(ids, vals, block, (min, max), table))
+            }
+        };
+        source.runs = runs.map(|runs| (memo.block_len(), runs));
+    }
+    if source.runs.is_none() {
+        source.decode_whole();
+    }
     let span = max.wrapping_sub(min);
     if min <= max && span <= (rows / TABLE_DIVISOR) as u64 {
         let len = span as usize + 1;
@@ -527,7 +604,7 @@ fn group_chunk(
         }
         let slots = &mut table[..len];
         let mut inside = true;
-        for_each_piece(id_buf, val_buf, sel, base, |id, sum, count| {
+        source.for_each_piece(sel, base, |id, sum, count| {
             let offset = id.wrapping_sub(min);
             if offset > span {
                 inside = false;
@@ -549,17 +626,88 @@ fn group_chunk(
         // An id outside the zone map: discard the table, take the exact route.
         slots.fill((0, 0));
     }
-    for_each_piece(id_buf, val_buf, sel, base, |id, sum, count| {
-        push_piece(run, id, sum, count)
-    });
+    source.for_each_piece(sel, base, |id, sum, count| push_piece(run, id, sum, count));
     sort_run(run);
     merge_run(groups, run, spare);
 }
 
+/// Whether `sel` selects every row of some block of `block` rows of the
+/// chunk of `rows` rows at position `base`.
+fn selects_a_block(sel: &Bitmap, base: usize, rows: usize, block: usize) -> bool {
+    (0..rows).step_by(block).any(|from| {
+        let to = (from + block).min(rows);
+        sel.count_ones_in(base + from, base + to) == to - from
+    })
+}
+
+/// Where a dense `GROUP BY` chunk's pieces come from: the decoded chunks,
+/// and with `runs` the memo's run of each fully selected block.
+struct Source<'a> {
+    ids: &'a EncodedColumn,
+    vals: &'a EncodedColumn,
+    id_buf: &'a mut Vec<u64>,
+    val_buf: &'a mut Vec<u64>,
+    /// Both buffers hold their whole chunk.
+    whole: bool,
+    /// `(block length, runs)` of a filled memo.
+    runs: Option<(usize, &'a GroupRuns)>,
+}
+
+impl Source<'_> {
+    /// Decode both chunks whole into the buffers, unless they already are.
+    fn decode_whole(&mut self) {
+        if !self.whole {
+            self.id_buf.clear();
+            self.val_buf.clear();
+            self.ids.decode_into(self.id_buf);
+            self.vals.decode_into(self.val_buf);
+            self.whole = true;
+        }
+    }
+
+    /// Call `piece(id, sum, count)` for every piece of the selected rows of
+    /// the chunk at `sel` position `base`: without memo runs, the pieces of
+    /// the decoded chunks; with them, block by block, a fully selected
+    /// block's run from the memo and a cut block's decoded pieces.
+    fn for_each_piece(&mut self, sel: &Bitmap, base: usize, mut piece: impl FnMut(u64, u128, u64)) {
+        let Some((block, runs)) = self.runs else {
+            for_each_piece(self.id_buf, self.val_buf, sel, base, piece);
+            return;
+        };
+        let rows = self.ids.len();
+        for (k, from) in (0..rows).step_by(block).enumerate() {
+            let to = (from + block).min(rows);
+            let selected = sel.count_ones_in(base + from, base + to);
+            if selected == 0 {
+                continue;
+            }
+            if selected == to - from {
+                for &(id, sum, count) in runs.run(k) {
+                    piece(id, sum, count);
+                }
+                continue;
+            }
+            match (self.whole, self.ids, self.vals) {
+                (false, EncodedColumn::Leco(ids), EncodedColumn::Leco(vals)) => {
+                    self.id_buf.clear();
+                    self.val_buf.clear();
+                    ids.decode_range_into(from, to, self.id_buf);
+                    vals.decode_range_into(from, to, self.val_buf);
+                    for_each_piece(self.id_buf, self.val_buf, sel, base + from, &mut piece);
+                }
+                _ => {
+                    self.decode_whole();
+                    let (ids, vals) = (&self.id_buf[from..to], &self.val_buf[from..to]);
+                    for_each_piece(ids, vals, sel, base + from, &mut piece);
+                }
+            }
+        }
+    }
+}
+
 /// Call `piece(id, sum, count)` once per piece of equal consecutive ids
 /// within each run of `sel` over the decoded chunk `ids`/`vals`, whose
-/// first row is `sel` position `base`. A piece's values are summed in a
-/// register.
+/// first row is `sel` position `base`.
 fn for_each_piece(
     ids: &[u64],
     vals: &[u64],
@@ -569,18 +717,114 @@ fn for_each_piece(
 ) {
     sel.for_each_run_in(base, base + ids.len(), |from, to| {
         let (from, to) = (from - base, to - base);
-        let (ids, vals) = (&ids[from..to], &vals[from..to]);
-        let mut i = 0;
-        while i < ids.len() {
-            let (id, mut sum, mut end) = (ids[i], vals[i] as u128, i + 1);
-            while end < ids.len() && ids[end] == id {
-                sum += vals[end] as u128;
-                end += 1;
-            }
-            piece(id, sum, (end - i) as u64);
-            i = end;
-        }
+        for_each_piece_of(&ids[from..to], &vals[from..to], &mut piece);
     });
+}
+
+/// Call `piece(id, sum, count)` once per piece of equal consecutive ids of
+/// `ids`/`vals`. A piece's values are summed in a register.
+fn for_each_piece_of(ids: &[u64], vals: &[u64], mut piece: impl FnMut(u64, u128, u64)) {
+    let mut i = 0;
+    while i < ids.len() {
+        let (id, mut sum, mut end) = (ids[i], vals[i] as u128, i + 1);
+        while end < ids.len() && ids[end] == id {
+            sum += vals[end] as u128;
+            end += 1;
+        }
+        piece(id, sum, (end - i) as u64);
+        i = end;
+    }
+}
+
+/// No block of a group-run memo holds more than one group per
+/// `ROWS_PER_GROUP` of its rows, so a memo costs at most 4 B per row (a
+/// [`Group`] is 32 B). Chunks whose ids change more often (the `Random`
+/// sensor ids) are declined and keep the decode route, where a memo would
+/// save little.
+const ROWS_PER_GROUP: usize = 8;
+
+/// The [`GroupRuns`] of the decoded chunks `ids`/`vals` in blocks of
+/// `block` rows, or `None` when a block would hold more than one group per
+/// `ROWS_PER_GROUP` of its rows.
+///
+/// Ids inside a zone `(min, max)` that the dense `GROUP BY` table may index
+/// are added into `table` (left all clear), which counts each block's
+/// groups as they arrive and reads them out in id order: no sort, and a
+/// declined memo stops adding at the first block past the bound. Other ids
+/// are sorted block by block.
+fn derive_runs(
+    ids: &[u64],
+    vals: &[u64],
+    block: usize,
+    (min, max): (u64, u64),
+    table: &mut Vec<(u128, u64)>,
+) -> Option<GroupRuns> {
+    let span = max.wrapping_sub(min);
+    if min <= max && span <= (ids.len() / TABLE_DIVISOR) as u64 {
+        let len = span as usize + 1;
+        if table.len() < len {
+            table.resize(len, (0, 0));
+        }
+        if let Some(runs) = derive_runs_in_table(ids, vals, block, min, &mut table[..len]) {
+            return runs;
+        }
+    }
+    let (mut ends, mut groups, mut run) = (Vec::new(), Vec::new(), Vec::new());
+    for (ids, vals) in ids.chunks(block).zip(vals.chunks(block)) {
+        run.clear();
+        for_each_piece_of(ids, vals, |id, sum, count| {
+            push_piece(&mut run, id, sum, count)
+        });
+        sort_run(&mut run);
+        if run.len() > ids.len() / ROWS_PER_GROUP {
+            return None;
+        }
+        groups.extend_from_slice(&run);
+        ends.push(groups.len());
+    }
+    Some(GroupRuns::new(ends, groups))
+}
+
+/// [`derive_runs`] through the dense table `slots`, whose slot 0 is id
+/// `min`: `None` when an id falls outside it, else the runs, or `Some(None)`
+/// when a block passes the bound. Every slot is clear again on return.
+fn derive_runs_in_table(
+    ids: &[u64],
+    vals: &[u64],
+    block: usize,
+    min: u64,
+    slots: &mut [(u128, u64)],
+) -> Option<Option<GroupRuns>> {
+    let (mut ends, mut groups) = (Vec::new(), Vec::new());
+    for (ids, vals) in ids.chunks(block).zip(vals.chunks(block)) {
+        let bound = ids.len() / ROWS_PER_GROUP;
+        // The block's slots lie in `lo..=hi`; `fresh` counts its groups.
+        let (mut lo, mut hi, mut fresh, mut inside) = (slots.len(), 0, 0, true);
+        for_each_piece_of(ids, vals, |id, sum, count| {
+            let offset = id.wrapping_sub(min);
+            if !inside || fresh > bound {
+                return;
+            }
+            if offset >= slots.len() as u64 {
+                inside = false;
+                return;
+            }
+            let offset = offset as usize;
+            let slot = &mut slots[offset];
+            fresh += usize::from(slot.1 == 0);
+            slot.0 += sum;
+            slot.1 += count;
+            (lo, hi) = (lo.min(offset), hi.max(offset));
+        });
+        let used = slots.get_mut(lo..=hi).unwrap_or_default();
+        if !inside || fresh > bound {
+            used.fill((0, 0));
+            return inside.then_some(None);
+        }
+        drain_table(used, min + lo as u64, &mut groups);
+        ends.push(groups.len());
+    }
+    Some(Some(GroupRuns::new(ends, groups)))
 }
 
 /// Push the non-empty slots of a dense table whose slot 0 is id `min` onto

@@ -9,6 +9,7 @@
 
 use crate::encoding::{EncodedColumn, Encoding};
 use crate::exec::QueryStats;
+use crate::memo::{GroupRunMemo, GROUP_BLOCK};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -103,6 +104,27 @@ struct RowGroup {
     rows: usize,
     chunks: Vec<ChunkMeta>,
     columns: Vec<EncodedColumn>,
+    /// One empty group-run memo per `(id column, value column)` pair, at
+    /// `id · columns + value` (derived on first use, never serialized).
+    group_runs: Box<[GroupRunMemo]>,
+}
+
+impl RowGroup {
+    fn new(
+        row_start: usize,
+        rows: usize,
+        chunks: Vec<ChunkMeta>,
+        columns: Vec<EncodedColumn>,
+    ) -> Self {
+        let pairs = columns.len() * columns.len();
+        Self {
+            row_start,
+            rows,
+            chunks,
+            columns,
+            group_runs: (0..pairs).map(|_| GroupRunMemo::new(GROUP_BLOCK)).collect(),
+        }
+    }
 }
 
 /// A written table file plus the in-memory structures needed to query it.
@@ -162,12 +184,7 @@ impl TableFile {
                 offset += stored.len() as u64;
                 encoded_cols.push(encoded);
             }
-            row_groups.push(RowGroup {
-                row_start,
-                rows,
-                chunks,
-                columns: encoded_cols,
-            });
+            row_groups.push(RowGroup::new(row_start, rows, chunks, encoded_cols));
             row_start += rows;
             if num_rows == 0 {
                 break;
@@ -329,12 +346,7 @@ impl TableFile {
                 chunks.push(meta);
                 columns.push(column);
             }
-            row_groups.push(RowGroup {
-                row_start,
-                rows,
-                chunks,
-                columns,
-            });
+            row_groups.push(RowGroup::new(row_start, rows, chunks, columns));
         }
         let reopened: usize = row_groups.iter().map(|g| g.rows).sum();
         if reopened != num_rows {
@@ -409,6 +421,18 @@ impl TableFile {
     /// chunk's bytes into its own reused buffer) use this directly.
     pub fn chunk_encoded(&self, rg: usize, col: usize) -> &EncodedColumn {
         &self.row_groups[rg].columns[col]
+    }
+
+    /// The `GROUP BY` memo of row group `rg` grouping column `val_col` by
+    /// column `id_col`: one exact run of groups per [`GROUP_BLOCK`] rows,
+    /// filled by the first [`crate::exec::group_by_avg_chunk_memo`] call
+    /// that selects a whole block and read by every later one. Opening or
+    /// writing a file fills no memo.
+    pub fn group_runs(&self, rg: usize, id_col: usize, val_col: usize) -> &GroupRunMemo {
+        let g = &self.row_groups[rg];
+        let ncols = g.columns.len();
+        assert!(id_col < ncols && val_col < ncols, "column out of range");
+        &g.group_runs[id_col * ncols + val_col]
     }
 
     /// Read the chunk's bytes back from disk (charging I/O, and CPU for block

@@ -14,7 +14,9 @@
 //! * the compute kernels of the paper's queries ([`exec`]): range-filter
 //!   pushdown, group-by average aggregation and bitmap sum aggregation,
 //! * per-query [`exec::QueryStats`] splitting time into an I/O and a CPU
-//!   component, which is exactly the breakdown plotted in Figures 18–21.
+//!   component, which is exactly the breakdown plotted in Figures 18–21,
+//! * a per-row-group `GROUP BY` memo ([`memo::GroupRunMemo`]), derived on
+//!   first use and never serialized.
 //!
 //! Scans decode chunks through the word-parallel bulk path
 //! ([`EncodedColumn::decode_into`]); LeCo chunks are persisted in the byte
@@ -37,8 +39,10 @@ pub mod bitmap;
 pub mod encoding;
 pub mod exec;
 pub mod file;
+pub mod memo;
 
 pub use bitmap::Bitmap;
 pub use encoding::{EncodedColumn, Encoding};
 pub use exec::{sum_selected, Partial, QueryStats, ScanScratch};
 pub use file::{BlockCompression, ChunkReader, TableFile, TableFileOptions};
+pub use memo::{GroupRunMemo, GROUP_BLOCK};

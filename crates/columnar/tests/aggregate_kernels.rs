@@ -23,14 +23,25 @@
 //! partition less its first or last row, every partition but one, one dense
 //! partition in a sparse chunk) run each LeCo partition through every `SUM`
 //! route, and `sum_selected_chunk` runs twice per chunk: with the LeCo
-//! partition-sum memo cold, then warm. The property tests honour
-//! `PROPTEST_CASES` (CI: 2048).
+//! partition-sum memo cold, then warm.
+//!
+//! `group_by_avg_chunk_memo` runs beside the zoned kernel on every case and
+//! zone map, with a fresh `GroupRunMemo` of `FRAME`-row blocks: cold, then
+//! warm, and must return exactly the zoned kernel's groups. The same
+//! partition-edge selections cut its blocks; ids that change every few rows
+//! decline the memo, runs of equal ids fill it, and a narrower zone map
+//! sends the memo's runs down the exact route. After each call the memo
+//! must be empty, declined only when a block fold holds more than one group
+//! per 8 of the block's rows, or hold exactly the block folds.
+//!
+//! The property tests honour `PROPTEST_CASES` (CI: 2048).
 
 use leco_codecs::{DeltaCodec, ForCodec, OpDict};
 use leco_columnar::exec::{
-    group_by_avg_chunk, group_by_avg_chunk_zoned, sum_selected_chunk, Group, GroupScratch,
+    group_by_avg_chunk, group_by_avg_chunk_memo, group_by_avg_chunk_zoned, sum_selected_chunk,
+    Group, GroupScratch,
 };
-use leco_columnar::{Bitmap, EncodedColumn};
+use leco_columnar::{Bitmap, EncodedColumn, GroupRunMemo};
 use leco_core::{LecoCompressor, LecoConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -154,6 +165,61 @@ fn check(ids: &[u64], vals: &[u64], sel: &Bitmap, base: usize, label: &str) {
             assert_eq!(groups, want, "{ctx}");
             assert!(groups.windows(2).all(|w| w[0].0 < w[1].0), "{ctx}: order");
             assert!(groups.iter().all(|&(_, _, c)| c >= 1), "{ctx}: counts");
+            let memo = GroupRunMemo::new(FRAME);
+            for state in ["cold", "warm"] {
+                let mut got: Vec<Group> = seeded_groups(ids)
+                    .into_iter()
+                    .map(|(id, (s, c))| (id, s, c))
+                    .collect();
+                group_by_avg_chunk_memo(
+                    &id_chunk,
+                    &val_chunk,
+                    zone,
+                    &memo,
+                    sel,
+                    base,
+                    &mut scratch,
+                    &mut got,
+                );
+                assert_eq!(got, groups, "{ctx}: memo route, {state}");
+                check_memo(&memo, ids, vals, &format!("{ctx}: memo, {state}"));
+            }
+        }
+    }
+}
+
+/// The exact groups of each `FRAME`-row block of `ids`/`vals`.
+fn block_folds(ids: &[u64], vals: &[u64]) -> Vec<Vec<Group>> {
+    ids.chunks(FRAME)
+        .zip(vals.chunks(FRAME))
+        .map(|(ids, vals)| {
+            let mut groups: BTreeMap<u64, (u128, u64)> = BTreeMap::new();
+            for (&id, &val) in ids.iter().zip(vals) {
+                let slot = groups.entry(id).or_default();
+                slot.0 += val as u128;
+                slot.1 += 1;
+            }
+            groups.into_iter().map(|(id, (s, c))| (id, s, c)).collect()
+        })
+        .collect()
+}
+
+/// A memo is empty, declined only when a block fold holds more than one
+/// group per 8 of the block's rows, or holds exactly the block folds.
+fn check_memo(memo: &GroupRunMemo, ids: &[u64], vals: &[u64], ctx: &str) {
+    let folds = block_folds(ids, vals);
+    let over = folds
+        .iter()
+        .zip(ids.chunks(FRAME))
+        .any(|(fold, block)| fold.len() * 8 > block.len());
+    match memo.get() {
+        None => {}
+        Some(None) => assert!(over, "{ctx}: declined"),
+        Some(Some(runs)) => {
+            assert!(!over, "{ctx}: kept");
+            for (k, fold) in folds.iter().enumerate() {
+                assert_eq!(runs.run(k), &fold[..], "{ctx}: block {k}");
+            }
         }
     }
 }
@@ -480,5 +546,124 @@ proptest! {
             .map(|i| mix(!seed ^ i) >> (i % 3 * 31))
             .collect();
         check(&ids, &vals, &sel, base, "prop");
+    }
+}
+
+/// Ids in runs of `run` equal rows, so a `FRAME`-row block holds about
+/// `FRAME / run` groups.
+fn ids_in_runs(rows: usize, run: u64) -> Vec<u64> {
+    (0..rows as u64).map(|i| 1_000 + i / run).collect()
+}
+
+/// The memo route at block edges: ids in runs of 10 (about 26 groups per
+/// block, so the memo fills) and ids that change every row or two (so it is
+/// declined), under every selection, several bases and all three zone
+/// maps. A selection with a whole block leaves the memo filled or declined;
+/// one without, or a sparse one, leaves it empty.
+#[test]
+fn group_run_memo_fills_or_declines_and_matches_the_zoned_kernel() {
+    let rows = 6 * FRAME + 100;
+    let vals = huge_values(rows);
+    let id_sets = [
+        ("runs of 10", ids_in_runs(rows, 10), true),
+        ("runs of 2", ids_in_runs(rows, 2), false),
+        (
+            "scattered",
+            (0..rows as u64).map(|i| mix(i) % 500).collect(),
+            false,
+        ),
+    ];
+    for (ids_name, ids, fills) in &id_sets {
+        for base in [0, 1, 64, 300] {
+            for (name, chunk) in selections(rows) {
+                let whole_block = (0..rows)
+                    .step_by(FRAME)
+                    .any(|from| (from..(from + FRAME).min(rows)).all(&chunk));
+                let dense = (0..rows).filter(|&i| chunk(i)).count() * 16 >= rows;
+                let sel = selection(base, rows, chunk);
+                let label = format!("{ids_name}, base {base}, {name}");
+                check(ids, &vals, &sel, base, &label);
+                for ((enc, id_chunk), (_, val_chunk)) in
+                    encodings(ids).into_iter().zip(encodings(&vals))
+                {
+                    let memo = GroupRunMemo::new(FRAME);
+                    let zone = zones(ids)[0].1;
+                    let mut groups = Vec::new();
+                    let mut scratch = GroupScratch::default();
+                    group_by_avg_chunk_memo(
+                        &id_chunk,
+                        &val_chunk,
+                        zone,
+                        &memo,
+                        &sel,
+                        base,
+                        &mut scratch,
+                        &mut groups,
+                    );
+                    let state = memo.get().map(|runs| runs.is_some());
+                    let want = (whole_block && dense).then_some(*fills);
+                    assert_eq!(state, want, "{label} {enc}: memo state");
+                }
+            }
+        }
+    }
+}
+
+/// White-box: the memo is filled from one pair of chunks, then the kernel
+/// runs with it over another pair of equal length. A fully selected block
+/// must add the memo's run (the first pair's groups) and a cut block must
+/// decode its own chunk (the second pair's), so the result shows which
+/// route each block took, cold chunk state or not.
+#[test]
+fn a_full_block_reads_the_memo_and_a_cut_block_its_chunk() {
+    let rows = 4 * FRAME;
+    let ids = ids_in_runs(rows, 16);
+    let first: Vec<u64> = (0..rows as u64).map(|i| 1 + i % 7).collect();
+    let second: Vec<u64> = (0..rows as u64).map(|i| 1_000 + i % 11).collect();
+    // Block 1 whole, block 2 less its last row, block 3 less its first row.
+    let pick = |i: usize| (FRAME..3 * FRAME - 1).contains(&i) || (3 * FRAME + 1..rows).contains(&i);
+    for base in [0, 5, 64] {
+        let sel = selection(base, rows, pick);
+        let all = selection(base, rows, |_| true);
+        let mut want: BTreeMap<u64, (u128, u64)> = BTreeMap::new();
+        for i in (0..rows).filter(|&i| pick(i)) {
+            let slot = want.entry(ids[i]).or_default();
+            slot.0 += if i < 2 * FRAME { first[i] } else { second[i] } as u128;
+            slot.1 += 1;
+        }
+        let want: Vec<Group> = want.into_iter().map(|(id, (s, c))| (id, s, c)).collect();
+        for (((name, id_chunk), (_, fill_chunk)), (_, val_chunk)) in encodings(&ids)
+            .into_iter()
+            .zip(encodings(&first))
+            .zip(encodings(&second))
+        {
+            let zone = zones(&ids)[0].1;
+            let memo = GroupRunMemo::new(FRAME);
+            let mut scratch = GroupScratch::default();
+            let mut filled = Vec::new();
+            group_by_avg_chunk_memo(
+                &id_chunk,
+                &fill_chunk,
+                zone,
+                &memo,
+                &all,
+                base,
+                &mut scratch,
+                &mut filled,
+            );
+            assert!(matches!(memo.get(), Some(Some(_))), "{name}: memo filled");
+            let mut got = Vec::new();
+            group_by_avg_chunk_memo(
+                &id_chunk,
+                &val_chunk,
+                zone,
+                &memo,
+                &sel,
+                base,
+                &mut scratch,
+                &mut got,
+            );
+            assert_eq!(got, want, "{name} base {base}");
+        }
     }
 }

@@ -3,7 +3,7 @@
 use crate::pool::{self, PoolError};
 use crate::spec::{Agg, ScanPlan, ScanSpec};
 use leco_columnar::exec::{
-    filter_chunk, filter_chunk_pushdown, group_by_avg_chunk_zoned, sum_selected_chunk,
+    filter_chunk, filter_chunk_pushdown, group_by_avg_chunk_memo, sum_selected_chunk,
 };
 use leco_columnar::{Bitmap, ChunkReader, Partial, QueryStats, ScanScratch, TableFile};
 use leco_obs::Stopwatch;
@@ -498,10 +498,11 @@ impl<'a> Scanner<'a> {
             Agg::GroupAvg { id_col, val_col } => {
                 let ids = self.table.chunk_encoded(rg, id_col);
                 let vals = self.table.chunk_encoded(rg, val_col);
-                group_by_avg_chunk_zoned(
+                group_by_avg_chunk_memo(
                     ids,
                     vals,
                     self.table.zone_map(rg, id_col),
+                    self.table.group_runs(rg, id_col, val_col),
                     &scratch.sel,
                     0,
                     &mut scratch.group,

@@ -839,3 +839,108 @@ fn without_keys_matches_an_integer_fold_over_the_live_rows() {
         std::fs::remove_file(&path).ok();
     }
 }
+
+/// `GROUP BY` over LeCo and LeCo-var files of 40 000-row row groups (four
+/// 10 000-row memo blocks each), freshly opened from disk so that every
+/// thread count starts with each group-run memo cold: at 1, 2 and 4
+/// workers, then warm, then from two scans released together onto one cold
+/// file. The filters select every block, cut blocks at both ends of a `ts`
+/// window, and select too few rows to take a dense route. A dead `ts` key
+/// inside a block the scan otherwise selects whole makes that block cut,
+/// so the deleted row never reaches the groups through the memo. The
+/// `Partial` and the exact `QueryStats` fields never change, and the groups
+/// are the integer fold over the live rows (`Random` readings sum past
+/// 2^64, and `Random` ids decline the memo).
+#[test]
+fn group_by_is_identical_with_the_group_run_memo_cold_warm_and_raced() {
+    const ROWS: usize = 100_000;
+    const TS: usize = 0;
+    const ID: usize = 1;
+    const VAL: usize = 2;
+    for dist in [SensorDistribution::Correlated, SensorDistribution::Random] {
+        let t = sensor_table(ROWS, dist, 7);
+        let filters = [
+            None,
+            Some((t.ts[15_000], t.ts[84_999])),
+            Some((t.ts[41_000], t.ts[43_999])),
+        ];
+        let dead_sets = [HashSet::new(), HashSet::from([t.ts[45_000]])];
+        for encoding in [Encoding::Leco, Encoding::LecoVar] {
+            let name = format!("group-memo-{dist:?}-{encoding:?}");
+            let path = tmp(&name);
+            TableFile::write(
+                &path,
+                &["ts", "id", "val"],
+                &[t.ts.clone(), t.id.clone(), t.val.clone()],
+                TableFileOptions {
+                    encoding,
+                    row_group_size: 40_000,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            for dead in &dead_sets {
+                let live: Vec<usize> = (0..ROWS).filter(|&i| !dead.contains(&t.ts[i])).collect();
+                let live_col = |c: &[u64]| live.iter().map(|&i| c[i]).collect::<Vec<_>>();
+                let (ts, ids, vals) = (live_col(&t.ts), live_col(&t.id), live_col(&t.val));
+                for filter in filters {
+                    let (lo, hi) = filter.unwrap_or((0, u64::MAX));
+                    let (selected, _, groups) = fold_query(&ts, lo, hi, &ids, &vals);
+                    fn scan<'a>(
+                        table: &'a TableFile,
+                        filter: Option<(u64, u64)>,
+                        dead: &'a HashSet<u64>,
+                    ) -> Scanner<'a> {
+                        match filter {
+                            Some((lo, hi)) => Scanner::new(table).filter_col(TS, lo, hi),
+                            None => Scanner::new(table),
+                        }
+                        .without_keys(TS, dead)
+                        .group_by_avg_cols(ID, VAL)
+                    }
+                    let ctx = format!("{name} dead {dead:?} filter {filter:?}");
+                    let mut reference = None;
+                    for threads in [1, 2, 4] {
+                        let table = TableFile::open(&path).unwrap();
+                        for memo in ["cold", "warm"] {
+                            let (partial, stats) =
+                                scan(&table, filter, dead).run_partial(threads).unwrap();
+                            assert_eq!(partial.rows_selected, selected, "{ctx}");
+                            assert_eq!(partial.groups, groups, "{ctx} threads={threads} {memo}");
+                            let got = (partial, exact_stats(&stats));
+                            let want = reference.get_or_insert_with(|| got.clone());
+                            assert_eq!(&got, want, "{ctx} threads={threads} {memo}");
+                        }
+                        if filter.is_none() {
+                            // Every row group was selected whole but for the
+                            // dead key, so every memo has been filled.
+                            let filled = dist == SensorDistribution::Correlated;
+                            for rg in 0..table.num_row_groups() {
+                                let state = table.group_runs(rg, ID, VAL).get();
+                                assert_eq!(state.map(|r| r.is_some()), Some(filled), "{ctx}");
+                            }
+                        }
+                    }
+                    let reference = reference.expect("at least one run");
+                    let table = TableFile::open(&path).unwrap();
+                    let barrier = std::sync::Barrier::new(2);
+                    std::thread::scope(|s| {
+                        let runs: Vec<_> = (0..2)
+                            .map(|_| {
+                                s.spawn(|| {
+                                    barrier.wait();
+                                    scan(&table, filter, dead).run_partial(2).unwrap()
+                                })
+                            })
+                            .collect();
+                        for run in runs {
+                            let (partial, stats) = run.join().expect("scan thread");
+                            assert_eq!((partial, exact_stats(&stats)), reference, "{ctx} raced");
+                        }
+                    });
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
